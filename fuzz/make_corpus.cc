@@ -186,6 +186,34 @@ int main(int argc, char** argv) {
   ok &= WriteFile(dir, "region_digest_update",
                   EncodeMessage(MessageType::kRegionDigestUpdate, 20, digest));
 
+  // Split frames: result frames whose request id (the fuzzer's split
+  // pick, see fuzz_decode.cc) names their final-blob boundary, one byte
+  // before it (inside the length prefix) and one byte after it.
+  const auto write_splits = [&](const std::string& name, MessageType type,
+                                const auto& msg) {
+    const ByteVec frame = EncodeMessage(type, 0, msg);
+    const std::size_t payload = frame.size() - kEnvelopeHeaderSize;
+    const auto blob = ResultBlobOffset(
+        type, std::span<const std::uint8_t>(frame).subspan(
+                  kEnvelopeHeaderSize));
+    if (!blob.ok()) {
+      ok = false;
+      return;
+    }
+    for (const int delta : {0, -1, 1}) {
+      const std::size_t pick = static_cast<std::size_t>(
+          static_cast<std::ptrdiff_t>(blob.value()) + delta);
+      if (pick > payload) continue;
+      ok &= WriteFile(dir, name + "_split" + std::to_string(delta),
+                      EncodeMessage(type, pick, msg));
+    }
+  };
+  write_splits("recognition_result", MessageType::kRecognitionResult,
+               recognition_result);
+  write_splits("render_result", MessageType::kRenderResult, render_result);
+  write_splits("panorama_result", MessageType::kPanoramaResult,
+               panorama_result);
+
   // Structural corners: empty input and a bare header.
   ok &= WriteFile(dir, "empty", {});
   ByteWriter header;

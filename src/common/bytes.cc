@@ -10,7 +10,8 @@ static_assert(std::endian::native == std::endian::little,
               "CoIC wire codec assumes a little-endian host; add byte "
               "swapping in ByteWriter/ByteReader before porting");
 
-Status ByteReader::ReadBlobView(std::span<const std::uint8_t>& out) noexcept {
+Status ByteReader::ReadPrefixedView(
+    std::span<const std::uint8_t>& out) noexcept {
   // The one implementation of the length-prefix read; the owning and
   // string forms delegate here so bounds/rewind behavior cannot diverge.
   std::uint32_t len = 0;
@@ -25,16 +26,33 @@ Status ByteReader::ReadBlobView(std::span<const std::uint8_t>& out) noexcept {
   return Status::Ok();
 }
 
+Status ByteReader::ReadBlobView(std::span<const std::uint8_t>& out) noexcept {
+  if (tail_.empty() || tail_taken_ || remaining() != 4) {
+    return ReadPrefixedView(out);
+  }
+  // The prefix ends exactly where the leading span does: this blob's
+  // body is the trailing segment, and must match its length.
+  std::uint32_t len = 0;
+  COIC_RETURN_IF_ERROR(ReadU32(len));
+  if (len != tail_.size()) {
+    pos_ -= 4;
+    return Status(StatusCode::kDataLoss, "blob length disagrees with tail");
+  }
+  out = tail_;
+  tail_taken_ = true;
+  return Status::Ok();
+}
+
 Status ByteReader::ReadBlob(ByteVec& out) {
   std::span<const std::uint8_t> view;
-  COIC_RETURN_IF_ERROR(ReadBlobView(view));
+  COIC_RETURN_IF_ERROR(ReadPrefixedView(view));
   out.assign(view.begin(), view.end());
   return Status::Ok();
 }
 
 Status ByteReader::ReadStringView(std::string_view& out) noexcept {
   std::span<const std::uint8_t> view;
-  COIC_RETURN_IF_ERROR(ReadBlobView(view));
+  COIC_RETURN_IF_ERROR(ReadPrefixedView(view));
   out = std::string_view(reinterpret_cast<const char*>(view.data()),
                          view.size());
   return Status::Ok();
@@ -58,7 +76,7 @@ Status ByteReader::ReadString(std::string& out) {
 }
 
 Status ByteReader::ReadF32Vector(std::vector<float>& out) {
-  std::uint32_t count;
+  std::uint32_t count = 0;
   const std::size_t start = pos_;
   COIC_RETURN_IF_ERROR(ReadU32(count));
   if (remaining() < static_cast<std::size_t>(count) * 4) {
@@ -79,7 +97,7 @@ Status ByteReader::ReadF32Vector(std::vector<float>& out) {
 }
 
 Status ByteReader::ReadU64Vector(std::vector<std::uint64_t>& out) {
-  std::uint32_t count;
+  std::uint32_t count = 0;
   const std::size_t start = pos_;
   COIC_RETURN_IF_ERROR(ReadU32(count));
   if (remaining() < static_cast<std::size_t>(count) * 8) {

@@ -103,13 +103,30 @@ class ByteWriter {
 
 /// Sequential decoder over a non-owned byte span. Every Read* returns
 /// Status and leaves the cursor untouched on failure.
+///
+/// A reader may also carry a trailing segment: the body of the message's
+/// final blob, delivered as a separate buffer (a gathered frame). Every
+/// read works on the leading span alone; only a ReadBlobView whose length
+/// prefix ends exactly at the end of that span, and equals the trailing
+/// segment's size, returns the trailing segment. Any other read that
+/// would reach into it fails with kDataLoss, and AtEnd() also requires
+/// the trailing segment to have been consumed.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) noexcept : data_(data) {}
+  /// Gathered form: `data` followed by the final blob's body `tail`. An
+  /// empty `tail` reads exactly like the one-span form.
+  ByteReader(std::span<const std::uint8_t> data,
+             std::span<const std::uint8_t> tail) noexcept
+      : data_(data), tail_(tail) {}
 
+  /// Bytes left in the leading span (the trailing segment, if any, is
+  /// only reachable through ReadBlobView).
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }
-  [[nodiscard]] bool AtEnd() const noexcept { return pos_ == data_.size(); }
+  [[nodiscard]] bool AtEnd() const noexcept {
+    return pos_ == data_.size() && (tail_.empty() || tail_taken_);
+  }
 
   Status ReadU8(std::uint8_t& out) noexcept { return ReadLE(&out, 1); }
   Status ReadU16(std::uint16_t& out) noexcept { return ReadLE(&out, 2); }
@@ -141,7 +158,7 @@ class ByteReader {
   /// underlying buffer (valid only while that buffer lives). This is the
   /// zero-copy path the view decoders use on the client receive side —
   /// the multi-MB model/panorama blobs are never duplicated into an
-  /// owned vector.
+  /// owned vector. The only read that can return the trailing segment.
   Status ReadBlobView(std::span<const std::uint8_t>& out) noexcept;
 
   /// Borrowed-view variant of ReadString (same lifetime caveat).
@@ -178,8 +195,14 @@ class ByteReader {
     return Status::Ok();
   }
 
+  /// The length-prefixed read within the leading span; ReadBlobView adds
+  /// the trailing-segment case on top.
+  Status ReadPrefixedView(std::span<const std::uint8_t>& out) noexcept;
+
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
+  std::span<const std::uint8_t> tail_;
+  bool tail_taken_ = false;
 };
 
 /// Convenience: a ByteVec filled with deterministic pseudo-random content

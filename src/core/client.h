@@ -112,8 +112,10 @@ class CoicClient {
 
   /// Frames arriving from the edge. Results are parsed with the
   /// borrowed-view decoders straight out of the frame — the multi-MB
-  /// model/panorama blobs are never copied on the receive path.
-  void OnEdgeFrame(Frame frame);
+  /// model/panorama blobs are never copied on the receive path. A
+  /// gathered reply passes the result blob's body as `tail` (typically a
+  /// slice of the edge cache's buffer), decoded and parsed in place.
+  void OnEdgeFrame(Frame frame, Frame tail = Frame());
 
   /// Identity digest for a panoramic frame, shared by client and tests.
   static Digest128 PanoramaIdentityDigest(std::uint64_t video_id,

@@ -659,24 +659,29 @@ void EdgeService::SendResultToClient(proto::MessageType reply_type,
   // waiter fan-out, peer-hit leader, cloud relay via memo replay).
   if (tracer_) tracer_->Transition(request_id, obs::Phase::kDownlink, now_());
   if (config_.gather_send) {
-    // Copy-free reply: rewrite only the bytes up to and including the
-    // source field into a small head, and share the (possibly multi-MB)
-    // rest of the cached payload by reference. The transport fuses the
-    // two at delivery; wire bytes match the fused encode exactly.
-    const auto offset = proto::ResultSourceOffset(reply_type, payload.span());
-    COIC_CHECK_MSG(offset.ok(), "corrupt cached result payload");
+    // Copy-free reply: rewrite every field up to and including the result
+    // blob's length prefix into a small head (source byte patched), and
+    // share the blob body — the (possibly multi-MB) rest of the cached
+    // payload — by reference. The receiver decodes the pair in place;
+    // wire bytes match the fused encode exactly.
+    const auto source_at = proto::ResultSourceOffset(reply_type, payload.span());
+    const auto blob_at = proto::ResultBlobOffset(reply_type, payload.span());
+    COIC_CHECK_MSG(source_at.ok() && blob_at.ok(),
+                   "corrupt cached result payload");
     COIC_CHECK_MSG(payload.size() <= proto::kMaxPayloadBytes,
                    "payload too large");
-    const std::size_t pos = offset.value();
-    ByteWriter w(proto::kEnvelopeHeaderSize + pos + 1);
+    const std::size_t pos = source_at.value();
+    const std::size_t split = blob_at.value();
+    ByteWriter w(proto::kEnvelopeHeaderSize + split);
     proto::AppendEnvelopeHeader(w, reply_type, request_id,
                                 static_cast<std::uint32_t>(payload.size()));
     w.WriteRaw(payload.span().first(pos));
     w.WriteU8(static_cast<std::uint8_t>(source));
+    w.WriteRaw(payload.span().subspan(pos + 1, split - pos - 1));
     Frame head(w.TakeBytes());
-    if (pos + 1 < payload.size()) {
+    if (split < payload.size()) {
       config_.gather_send(Peer::kClient, std::move(head),
-                          payload.Slice(pos + 1, payload.size() - pos - 1));
+                          payload.Slice(split, payload.size() - split));
     } else {
       send_(Peer::kClient, std::move(head));
     }
@@ -882,22 +887,6 @@ void EdgeService::HandlePeerLookupRequest(
            COIC_CHECK_MSG(1 + 1 + 4 + payload.size() <=
                               proto::kMaxPayloadBytes,
                           "payload too large");
-           if (outcome.hit && config_.gather_send &&
-               !(from_peer && config_.peer_send)) {
-             // Copy-free hit reply (pairwise transport): the fixed
-             // fields go into a small head, the cached payload rides as
-             // a shared tail. Field order mirrors the fused encode.
-             ByteWriter w(proto::kEnvelopeHeaderSize + 1 + 1 + 4);
-             proto::AppendEnvelopeHeader(
-                 w, MessageType::kPeerLookupReply, request_id,
-                 static_cast<std::uint32_t>(1 + 1 + 4 + payload.size()));
-             w.WriteU8(1);
-             w.WriteU8(static_cast<std::uint8_t>(reply_type));
-             w.WriteU32(static_cast<std::uint32_t>(payload.size()));
-             config_.gather_send(Peer::kPeerEdge, Frame(w.TakeBytes()),
-                                 outcome.payload);
-             return;
-           }
            Frame reply = EncodePeerLookupReplyFrame(request_id, outcome.hit,
                                                     reply_type, payload);
            if (from_peer && config_.peer_send) {

@@ -40,10 +40,14 @@ namespace coic::core {
 enum class Peer : std::uint8_t { kClient = 0, kCloud = 1, kPeerEdge = 2 };
 using SendFn = std::function<void(Peer to, Frame frame)>;
 
-/// Optional scatter-gather emitter: `head` (a small rewritten envelope
-/// prefix) and `tail` (a shared slice of a cached payload) travel as one
-/// frame without the sender ever fusing them — the cache-hit reply path
-/// uses this to stay copy-free. Null => the fused single-buffer encode.
+/// Optional scatter-gather emitter for client result replies: `head`
+/// (the envelope header and every result field up to the blob's length
+/// prefix) and `tail` (the blob body, a shared slice of the cached
+/// payload) travel as one frame that nobody fuses — the transport hands
+/// both segments to the receiver, which decodes them in place (see
+/// proto::DecodeEnvelopeView(head, tail)). This keeps the cache-hit reply
+/// path copy-free end to end. `to` is always Peer::kClient. Null => the
+/// fused single-buffer encode.
 using GatherSendFn = std::function<void(Peer to, Frame head, Frame tail)>;
 
 /// Runs `fn` after simulated `delay` (scheduler-bound in the simulator,
@@ -474,7 +478,8 @@ class EdgeService {
                                    proto::ResultSource source);
 
   /// Sends a result payload to the client under `reply_type` with
-  /// `source` stamped in. With gather_send configured the payload tail
+  /// `source` stamped in. With gather_send configured the payload is
+  /// split just past the result blob's length prefix and the blob body
   /// is shared by reference (copy-free hit replies); otherwise it falls
   /// back to the fused one-copy EncodePatchedResult. Wire bytes are
   /// identical either way.

@@ -271,6 +271,20 @@ FederationPipeline::FederationPipeline(FederationPipelineConfig config)
       });
       return lost;
     });
+    m.RegisterSampler("netsim.gather_flattens", [net] {
+      std::uint64_t flattens = 0;
+      net->ForEachLink([&flattens](const netsim::Link& l) {
+        flattens += l.stats().gather_flattens;
+      });
+      return flattens;
+    });
+    m.RegisterSampler("netsim.gather_flatten_bytes", [net] {
+      std::uint64_t bytes = 0;
+      net->ForEachLink([&bytes](const netsim::Link& l) {
+        bytes += l.stats().gather_flatten_bytes;
+      });
+      return bytes;
+    });
     m.RegisterSampler("net.links.down_drops", [net] {
       std::uint64_t down = 0;
       net->ForEachLink([&down](const netsim::Link& l) {
@@ -532,8 +546,9 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
   const netsim::NodeId self = edge_nodes_[venue];
   const bool lossy = LossyTransport();
   // Scatter-gather client replies: the per-request envelope head and the
-  // shared cached payload travel as one wire frame without the edge ever
-  // fusing them (wire bytes identical to the fused path).
+  // shared cached blob body travel as one wire frame that no hop fuses —
+  // the client decodes the two segments in place (wire bytes identical
+  // to the fused path).
   edge_config.gather_send = [this, venue, self, lossy](core::Peer to,
                                                        Frame head,
                                                        Frame tail) {
@@ -640,6 +655,10 @@ void FederationPipeline::WireClient(std::uint32_t venue, std::uint32_t mobile) {
                        [this, index](netsim::NodeId, Frame frame) {
                          clients_[index]->OnEdgeFrame(std::move(frame));
                        });
+  shard.net.SetGatherHandler(
+      client_node, [this, index](netsim::NodeId, Frame head, Frame tail) {
+        clients_[index]->OnEdgeFrame(std::move(head), std::move(tail));
+      });
 }
 
 // ---------------------------------------------------------------------------

@@ -432,7 +432,8 @@ class FederationPipeline {
   /// The cluster-wide metrics registry: every edge/client/gossip counter
   /// under a dotted path ("edge.2.forwards", "client.0.3.timeouts",
   /// "gossip.relay_forwards"), plus samplers over storage that lives
-  /// elsewhere ("net.datagram.*", "net.links.frames_lost", "frame.*",
+  /// elsewhere ("net.datagram.*", "net.links.frames_lost",
+  /// "netsim.gather_flattens", "netsim.gather_flatten_bytes", "frame.*",
   /// "cloud.tasks_executed"). Snapshot()/DiffSince replace the manual
   /// record-before/subtract-after dance in benches.
   [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept {

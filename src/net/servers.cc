@@ -94,6 +94,7 @@ void CloudServer::Stop() {
   if (stopping_.exchange(true)) return;
   if (listener_) listener_->Close();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.reset();  // the accept thread is gone: release the fd
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(threads_mutex_);
@@ -214,6 +215,7 @@ void EdgeServer::Stop() {
   if (listener_) listener_->Close();
   upstream_.ShutdownBoth();  // unblocks CloudReplyLoop's recv
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.reset();  // the accept thread is gone: release the fd
   if (cloud_reply_thread_.joinable()) cloud_reply_thread_.join();
   std::vector<std::thread> threads;
   {

@@ -119,10 +119,10 @@ Result<TcpListener> TcpListener::Bind(const SocketAddress& addr) {
 }
 
 void TcpListener::Close() noexcept {
-  if (fd_.valid()) {
-    (void)::shutdown(fd_.get(), SHUT_RDWR);
-    fd_.Reset();
-  }
+  // shutdown() only: it wakes a thread blocked in accept() and stops
+  // the socket listening without touching fd_, which that thread is
+  // still reading. The descriptor closes with the listener.
+  if (fd_.valid()) (void)::shutdown(fd_.get(), SHUT_RDWR);
 }
 
 Result<TcpStream> TcpListener::Accept() {

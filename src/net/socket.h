@@ -105,9 +105,11 @@ class TcpListener {
 
   [[nodiscard]] std::uint16_t bound_port() const noexcept { return port_; }
 
-  /// Unblocks pending Accept calls and closes the socket. (Plain close()
-  /// does NOT wake a thread blocked in accept() on Linux; shutdown()
-  /// does, making Accept return with an error.)
+  /// Stops listening and unblocks pending Accept calls (kUnavailable).
+  /// Only shutdown()s the socket, so it is safe while another thread is
+  /// in Accept() (plain close() neither wakes accept() on Linux nor
+  /// avoids racing its read of the fd); the fd closes with the listener,
+  /// which its owner destroys after joining the accepting thread.
   void Close() noexcept;
 
  private:

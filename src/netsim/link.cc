@@ -1,5 +1,6 @@
 #include "netsim/link.h"
 
+#include <type_traits>
 #include <utility>
 
 namespace coic::netsim {
@@ -25,32 +26,26 @@ void Link::Send(Frame payload, DeliverFn on_delivered, DropFn on_dropped) {
            std::move(on_dropped));
 }
 
-void Link::SendGather(Frame head, Frame tail, DeliverFn on_delivered,
+void Link::SendGather(Frame head, Frame tail, GatherDeliverFn on_delivered,
                       DropFn on_dropped) {
   COIC_CHECK_MSG(!tail.empty(), "gather send without a tail segment");
   SendImpl(std::move(head), std::move(tail), std::move(on_delivered),
            std::move(on_dropped));
 }
 
-namespace {
-
-/// Joins a gather pair into the single contiguous frame the receiver
-/// sees. Models the receiver's socket read materializing the writev'd
-/// bytes, so it is deliberately not counted in frame_stats() (the same
-/// convention as ByteWriter encode copies).
-/// `head` is taken by value: the delivery path moves it in, so a plain
-/// (tail-less) send hands the receiver the sender's reference itself —
-/// the handler may then mutate a uniquely-held buffer in place (relay
-/// TTL patching) without tripping copy-on-write.
-Frame FlattenGather(Frame head, const Frame& tail) {
+Frame Link::FlattenGather(Frame head, const Frame& tail) {
+  // `head` is taken by value: a plain (tail-less) frame is handed on as
+  // the sender's reference itself, so a handler may still mutate a
+  // uniquely-held buffer in place (relay TTL patching) without tripping
+  // copy-on-write.
   if (tail.empty()) return head;
+  ++stats_.gather_flattens;
+  stats_.gather_flatten_bytes += head.size() + tail.size();
   ByteWriter w(head.size() + tail.size());
   w.WriteRaw(head.span());
   w.WriteRaw(tail.span());
   return Frame(w.TakeBytes());
 }
-
-}  // namespace
 
 Link::Admission Link::Admit(Bytes size) {
   const SimTime now = sched_.now();
@@ -101,7 +96,8 @@ Link::Admission Link::Admit(Bytes size) {
   return a;
 }
 
-void Link::SendImpl(Frame head, Frame tail, DeliverFn on_delivered,
+template <typename OnDelivered>
+void Link::SendImpl(Frame head, Frame tail, OnDelivered on_delivered,
                     DropFn on_dropped) {
   COIC_CHECK(on_delivered != nullptr);
   const Bytes size = head.size() + tail.size();
@@ -136,7 +132,11 @@ void Link::SendImpl(Frame head, Frame tail, DeliverFn on_delivered,
     }
     ++stats_.frames_delivered;
     stats_.bytes_delivered += size;
-    on_delivered(FlattenGather(std::move(head), tail));
+    if constexpr (std::is_same_v<OnDelivered, GatherDeliverFn>) {
+      on_delivered(std::move(head), std::move(tail));
+    } else {
+      on_delivered(std::move(head));
+    }
   };
   sched_.ScheduleAt(a.deliver_at, std::move(deliver));
 }

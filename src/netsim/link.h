@@ -77,6 +77,11 @@ struct LinkStats {
   std::uint64_t frames_dropped_down = 0;
   Bytes bytes_delivered = 0;
   Duration busy_time = Duration::Zero();  ///< Total serialization time.
+  /// Gather pairs materialized into one buffer (FlattenGather): the drop
+  /// path, over-MTU fragmentation and the cross-shard handoff. A lossless
+  /// intra-shard gathered delivery does none.
+  std::uint64_t gather_flattens = 0;
+  Bytes gather_flatten_bytes = 0;
 };
 
 class Link {
@@ -85,6 +90,8 @@ class Link {
   /// same buffer to every link, and delivery moves the reference to the
   /// receiving handler without ever copying the bytes.
   using DeliverFn = std::function<void(Frame payload)>;
+  /// Gathered delivery: the two segments SendGather was given, unfused.
+  using GatherDeliverFn = std::function<void(Frame head, Frame tail)>;
   using DropFn = std::function<void(DropReason, Frame payload)>;
 
   Link(EventScheduler& sched, std::string name, LinkConfig config);
@@ -114,15 +121,22 @@ class Link {
 
   /// Scatter-gather form of Send: transmits `head` and `tail` as one
   /// frame of head.size() + tail.size() bytes (one serialization slot,
-  /// one loss draw, one delivery), flattening them into a single buffer
-  /// only at delivery time — the simulator analogue of writev(2) into
-  /// the receiver's socket read buffer. Lets a sender fuse a tiny
-  /// per-request header with a large shared payload without copying the
-  /// payload on its own hot path; the delivery-side flatten is receive
-  /// materialization, not a sender copy, so it is not counted in
-  /// frame_stats() (the same convention as ByteWriter encodes).
-  void SendGather(Frame head, Frame tail, DeliverFn on_delivered,
+  /// one loss draw, one delivery event) and hands `on_delivered` both
+  /// segments as given — the simulator analogue of writev(2) into a
+  /// receiver that reads with readv(2). Lets a sender pair a tiny
+  /// per-request header with a large shared payload that no hop ever
+  /// copies. Only the drop path materializes the pair (FlattenGather),
+  /// since DropFn takes one frame.
+  void SendGather(Frame head, Frame tail, GatherDeliverFn on_delivered,
                   DropFn on_dropped = nullptr);
+
+  /// Joins a gather pair into one buffer; a plain frame (empty `tail`)
+  /// passes through untouched. For the places that must hold a gathered
+  /// frame in one piece (drop reports, datagram fragmentation, the
+  /// cross-shard handoff). Each real join is counted in
+  /// stats().gather_flattens / gather_flatten_bytes; like a socket read
+  /// it is receive materialization, not a frame_stats() copy.
+  Frame FlattenGather(Frame head, const Frame& tail);
 
   /// Reconfigures bandwidth/propagation on the fly (the `tc` analogue —
   /// the bench sweeps call this between conditions). In-flight frames
@@ -216,7 +230,9 @@ class Link {
   Admission Admit(Bytes size);
 
   /// Shared body of Send/SendGather; `tail` is empty for plain sends.
-  void SendImpl(Frame head, Frame tail, DeliverFn on_delivered,
+  /// OnDelivered is DeliverFn or GatherDeliverFn.
+  template <typename OnDelivered>
+  void SendImpl(Frame head, Frame tail, OnDelivered on_delivered,
                 DropFn on_dropped);
 
   EventScheduler& sched_;

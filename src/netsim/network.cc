@@ -9,13 +9,18 @@ namespace coic::netsim {
 
 NodeId Network::AddNode(std::string name) {
   const auto id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(NodeState{std::move(name), nullptr});
+  nodes_.push_back(NodeState{std::move(name), nullptr, nullptr});
   return id;
 }
 
 void Network::SetHandler(NodeId node, MessageHandler handler) {
   COIC_CHECK(node < nodes_.size());
   nodes_[node].handler = std::move(handler);
+}
+
+void Network::SetGatherHandler(NodeId node, GatherHandler handler) {
+  COIC_CHECK(node < nodes_.size());
+  nodes_[node].gather_handler = std::move(handler);
 }
 
 void Network::Connect(NodeId a, NodeId b, const LinkConfig& a_to_b,
@@ -126,28 +131,22 @@ void Network::Send(NodeId from, NodeId to, Frame payload,
 
 void Network::SendGather(NodeId from, NodeId to, Frame head, Frame tail,
                          Link::DropFn on_dropped) {
-  if (datagram_.enabled && head.size() + tail.size() > datagram_.mtu) {
-    // Over-MTU gather falls back to flatten + fragment (receive-side
-    // materialization would have fused the segments anyway).
-    ByteWriter w(head.size() + tail.size());
-    w.WriteRaw(head.span());
-    w.WriteRaw(tail.span());
-    SendChunked(from, to, Frame(w.TakeBytes()), std::move(on_dropped));
-    return;
-  }
-  if (nodes_[to].remote) {
-    // Cross-shard gather flattens eagerly: the segments would be fused
-    // at receive time anyway, and the timed handoff wants one frame.
-    ByteWriter w(head.size() + tail.size());
-    w.WriteRaw(head.span());
-    w.WriteRaw(tail.span());
-    Send(from, to, Frame(w.TakeBytes()), std::move(on_dropped));
-    return;
-  }
   Link& link = LinkBetween(from, to);
+  // Fragmentation and the cross-shard handoff both carry one frame.
+  if ((datagram_.enabled && head.size() + tail.size() > datagram_.mtu) ||
+      nodes_[to].remote) {
+    Send(from, to, link.FlattenGather(std::move(head), tail),
+         std::move(on_dropped));
+    return;
+  }
   link.SendGather(std::move(head), std::move(tail),
-                  [this, from, to](Frame delivered) {
-                    Dispatch(from, to, std::move(delivered));
+                  [this, from, to](Frame delivered_head, Frame delivered_tail) {
+                    auto& handler = nodes_[to].gather_handler;
+                    COIC_CHECK_MSG(handler != nullptr,
+                                   "gathered frame delivered to node without "
+                                   "a gather handler");
+                    handler(from, std::move(delivered_head),
+                            std::move(delivered_tail));
                   },
                   std::move(on_dropped));
 }

@@ -26,6 +26,9 @@ inline constexpr NodeId kInvalidNode = 0xFFFFFFFF;
 
 /// Receives frames addressed to a node. `from` is the sending node.
 using MessageHandler = std::function<void(NodeId from, Frame payload)>;
+/// Receives gathered frames (Network::SendGather) as the two segments the
+/// sender gave: `head`, then `tail`, the body of the message's final blob.
+using GatherHandler = std::function<void(NodeId from, Frame head, Frame tail)>;
 
 /// Datagram (unreliable, MTU-bounded) transport mode. Off by default:
 /// the reliable mode delivers any frame size in one piece, which is the
@@ -66,6 +69,12 @@ class Network {
 
   /// Installs (or replaces) the frame handler for `node`.
   void SetHandler(NodeId node, MessageHandler handler);
+
+  /// Installs (or replaces) the gathered-frame handler for `node`: the
+  /// receiver of SendGather pairs that arrive unfused. A gathered frame
+  /// the transport had to flatten (over-MTU or cross-shard) arrives at
+  /// the plain handler instead.
+  void SetGatherHandler(NodeId node, GatherHandler handler);
 
   /// Connects a and b with a pair of unidirectional links.
   void Connect(NodeId a, NodeId b, const LinkConfig& a_to_b,
@@ -124,9 +133,13 @@ class Network {
   void Send(NodeId from, NodeId to, Frame payload,
             Link::DropFn on_dropped = nullptr);
 
-  /// Scatter-gather Send: `head` and `tail` travel as one frame without
-  /// the sender ever fusing them (see Link::SendGather). Under datagram
-  /// mode a combined size above the MTU falls back to flatten+fragment.
+  /// Scatter-gather Send: `head` and `tail` travel as one frame (see
+  /// Link::SendGather) and reach `to`'s gather handler as the same two
+  /// segments — no copy on the way. Two cases must materialize the frame
+  /// first, counted on the link (LinkStats::gather_flattens): a combined
+  /// size above the datagram MTU (flatten + fragment) and a remote `to`
+  /// (the cross-shard handoff carries one frame); both then arrive at
+  /// the plain handler.
   void SendGather(NodeId from, NodeId to, Frame head, Frame tail,
                   Link::DropFn on_dropped = nullptr);
 
@@ -161,6 +174,7 @@ class Network {
   struct NodeState {
     std::string name;
     MessageHandler handler;
+    GatherHandler gather_handler;
     /// Owned by another shard: deliveries route via remote_dispatch_.
     bool remote = false;
   };

@@ -53,7 +53,12 @@ ByteVec EncodeEnvelope(MessageType type, std::uint64_t request_id,
 }
 
 Result<EnvelopeView> DecodeEnvelopeView(std::span<const std::uint8_t> data) {
-  ByteReader r(data);
+  return DecodeEnvelopeView(data, {});
+}
+
+Result<EnvelopeView> DecodeEnvelopeView(std::span<const std::uint8_t> head,
+                                        std::span<const std::uint8_t> tail) {
+  ByteReader r(head);
   std::uint32_t magic = 0;
   std::uint16_t version = 0;
   std::uint8_t type_raw = 0;
@@ -82,13 +87,15 @@ Result<EnvelopeView> DecodeEnvelopeView(std::span<const std::uint8_t> data) {
   if (payload_len > kMaxPayloadBytes) {
     return Status(StatusCode::kDataLoss, "payload length exceeds limit");
   }
-  if (r.remaining() < payload_len) {
+  const std::size_t received = r.remaining() + tail.size();
+  if (received < payload_len) {
     return Status(StatusCode::kDataLoss, "payload truncated");
   }
-  if (r.remaining() != payload_len) {
+  if (received != payload_len) {
     return Status(StatusCode::kDataLoss, "trailing bytes after envelope");
   }
-  env.payload = data.subspan(kEnvelopeHeaderSize, payload_len);
+  env.payload = head.subspan(kEnvelopeHeaderSize);
+  env.tail = tail;
   return env;
 }
 

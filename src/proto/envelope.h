@@ -47,10 +47,16 @@ struct Envelope {
 /// is valid only while that buffer (typically a refcounted Frame) lives.
 /// This is the allocation-free decode the frame hot paths use; Envelope
 /// remains for callers that need the payload to outlive the frame.
+///
+/// A gathered frame arrives as two segments; then `payload` is the part
+/// inside the first one and `tail` is the body of the message's final
+/// blob (empty for a single-buffer frame). Decode it with
+/// DecodePayloadAs, which hands both to the payload decoder.
 struct EnvelopeView {
   MessageType type = MessageType::kPing;
   std::uint64_t request_id = 0;
   std::span<const std::uint8_t> payload;
+  std::span<const std::uint8_t> tail;
 };
 
 /// Serializes header + payload into one buffer.
@@ -105,6 +111,15 @@ ByteVec EncodeMessageInto(ByteVec&& storage, MessageType type,
 /// magic, unsupported version, truncated header/payload or oversized
 /// length — exactly where DecodeEnvelope does.
 Result<EnvelopeView> DecodeEnvelopeView(std::span<const std::uint8_t> data);
+
+/// Gathered form: the frame is `head` followed by `tail`, where `tail` is
+/// the body of the message's final blob and is never copied. The header's
+/// payload length must equal the payload bytes in `head` plus
+/// tail.size(); the payload decoder then reads every field from `head`
+/// and may take `tail` only as the final blob (see ByteReader). An empty
+/// `tail` decodes exactly like the one-span form.
+Result<EnvelopeView> DecodeEnvelopeView(std::span<const std::uint8_t> head,
+                                        std::span<const std::uint8_t> tail);
 
 /// Owning form of DecodeEnvelopeView: identical validation, then the
 /// payload is copied out so the caller may retire the input buffer.
@@ -232,13 +247,19 @@ Result<RegionDigestFrameHeader> PeekRegionDigestFrame(
 /// Decodes the payload of `env` as message type M, checking that the
 /// envelope type tag matches `expected`. Works for owning Envelope and
 /// borrowed EnvelopeView alike (M may itself be a *View type whose
-/// fields borrow from the underlying buffer).
+/// fields borrow from the underlying buffer), gathered views included.
 template <typename M, typename AnyEnvelope>
 Result<M> DecodePayloadAs(const AnyEnvelope& env, MessageType expected) {
   if (env.type != expected) {
     return Status(StatusCode::kDataLoss, "unexpected message type");
   }
-  ByteReader r(env.payload);
+  ByteReader r = [&] {
+    if constexpr (requires { env.tail; }) {
+      return ByteReader(env.payload, env.tail);
+    } else {
+      return ByteReader(env.payload);
+    }
+  }();
   auto result = M::Decode(r);
   if (!result.ok()) return result.status();
   if (!r.AtEnd()) {

@@ -635,6 +635,25 @@ Result<std::size_t> ResultSourceOffset(MessageType type,
   return offset;
 }
 
+Result<std::size_t> ResultBlobOffset(MessageType type,
+                                     std::span<const std::uint8_t> payload) {
+  // Every result type encodes source(1) right before its fixed-width
+  // tail fields (panorama: width(2) + height(2)), then the blob prefix.
+  const auto source = ResultSourceOffset(type, payload);
+  if (!source.ok()) return source.status();
+  const std::size_t prefix =
+      source.value() + 1 + (type == MessageType::kPanoramaResult ? 4 : 0);
+  if (prefix + 4 > payload.size()) {
+    return Status(StatusCode::kDataLoss, "result payload too short");
+  }
+  std::uint32_t len = 0;
+  std::memcpy(&len, payload.data() + prefix, 4);
+  if (len != payload.size() - prefix - 4) {
+    return Status(StatusCode::kDataLoss, "result blob length mismatch");
+  }
+  return prefix + 4;
+}
+
 bool PatchResultSourceInPlace(MessageType type,
                               std::span<std::uint8_t> payload,
                               ResultSource source) {

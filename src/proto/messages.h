@@ -480,13 +480,21 @@ bool PatchResultSourceInPlace(MessageType type,
                               ResultSource source);
 
 /// Byte offset of the ResultSource field inside an encoded result
-/// payload (the field PatchResultSourceInPlace overwrites). Scatter-
-/// gather senders split a cached payload at this offset: everything
-/// before it plus the patched source byte goes into a small rewritten
-/// head, the (possibly multi-MB) tail after it is shared by reference.
-/// Fails with kDataLoss for non-result types or short payloads.
+/// payload (the field PatchResultSourceInPlace overwrites). Fails with
+/// kDataLoss for non-result types or short payloads.
 Result<std::size_t> ResultSourceOffset(MessageType type,
                                        std::span<const std::uint8_t> payload);
+
+/// Byte offset of the result blob's body (annotation / model bytes /
+/// panorama frame) inside an encoded result payload: just past the u32
+/// length prefix of the payload's final field. Scatter-gather senders
+/// split a cached payload here — every field up to and including the
+/// prefix goes into a small rewritten head, the (possibly multi-MB) body
+/// is shared by reference and decoded in place as the gathered tail.
+/// Fails with kDataLoss for non-result types, short payloads, or a
+/// prefix that disagrees with the bytes after it.
+Result<std::size_t> ResultBlobOffset(MessageType type,
+                                     std::span<const std::uint8_t> payload);
 
 struct CacheStatsReply {
   std::uint64_t hits = 0;

@@ -322,6 +322,55 @@ TEST(BytesTest, ScalarRoundTrip) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+TEST(BytesTest, TrailingSegmentIsReachableOnlyAsTheFinalBlobView) {
+  // Leading span: u8, then a blob prefix naming the 3-byte tail.
+  ByteWriter w;
+  w.WriteU8(7);
+  w.WriteU32(3);
+  const ByteVec tail = {'a', 'b', 'c'};
+
+  ByteReader r(w.bytes(), tail);
+  std::uint8_t u8 = 0;
+  ASSERT_TRUE(r.ReadU8(u8).ok());
+  EXPECT_FALSE(r.AtEnd());
+  // A string or owning-blob read must not take the tail, and a scalar
+  // read cannot reach across into it.
+  std::string_view str;
+  EXPECT_EQ(r.ReadStringView(str).code(), StatusCode::kDataLoss);
+  ByteVec owned;
+  EXPECT_EQ(r.ReadBlob(owned).code(), StatusCode::kDataLoss);
+  std::uint64_t u64 = 0;
+  EXPECT_EQ(r.ReadU64(u64).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(r.remaining(), 4u);  // failed reads leave the cursor alone
+
+  std::span<const std::uint8_t> blob;
+  ASSERT_TRUE(r.ReadBlobView(blob).ok());
+  EXPECT_EQ(blob.data(), tail.data());  // the tail itself, not a copy
+  EXPECT_EQ(blob.size(), 3u);
+  EXPECT_TRUE(r.AtEnd());
+  // Consumed once: a second blob read finds nothing left.
+  EXPECT_FALSE(r.ReadBlobView(blob).ok());
+}
+
+TEST(BytesTest, TrailingSegmentRejectsAMismatchedPrefix) {
+  ByteWriter w;
+  w.WriteU32(2);  // claims 2 bytes, tail holds 3
+  const ByteVec tail = {'a', 'b', 'c'};
+  ByteReader r(w.bytes(), tail);
+  std::span<const std::uint8_t> blob;
+  EXPECT_EQ(r.ReadBlobView(blob).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(r.position(), 0u);
+  EXPECT_FALSE(r.AtEnd());
+
+  // An empty trailing segment reads exactly like the one-span reader.
+  ByteWriter plain;
+  plain.WriteBlob(tail);
+  ByteReader one(plain.bytes(), {});
+  ASSERT_TRUE(one.ReadBlobView(blob).ok());
+  EXPECT_EQ(blob.size(), 3u);
+  EXPECT_TRUE(one.AtEnd());
+}
+
 TEST(BytesTest, BlobStringVectorRoundTrip) {
   ByteWriter w;
   const ByteVec blob = {1, 2, 3, 4, 5};

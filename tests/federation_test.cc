@@ -1211,6 +1211,42 @@ TEST(FrameFabricTest, HitHeavyStormStaysCopyFreeWithGatherReplies) {
   EXPECT_EQ(frame_stats().copies(), copies_before);
 }
 
+TEST(FrameFabricTest, LosslessMixedStormDeliversGatheredRepliesUnflattened) {
+  // Recognition, render and panorama hit replies all leave the edge as a
+  // head + shared blob body and reach the client in two segments: a
+  // lossless single-thread 8-venue mixed storm joins none of them.
+  FederationPipeline pipeline(OpenLoopClusterConfig(8));
+  const std::vector<std::uint64_t> models = {1, 2, 3, 4, 5, 6};
+  for (const std::uint64_t m : models) {
+    pipeline.RegisterModel(m, KB(64) + m * KB(4));
+  }
+  trace::ClusterWorkloadConfig wl;
+  wl.venues = 8;
+  wl.base.users = 16;
+  wl.base.objects = 6;
+  wl.base.scene_raster = 32;
+  trace::ClusterWorkloadGenerator gen(wl);
+  auto placed = gen.GenerateMixed(400, models, /*video_id=*/7);
+  trace::RetimeArrivals(std::span<trace::PlacedRecord>(placed), 500.0);
+  for (const auto& p : placed) pipeline.EnqueuePlaced(p);
+
+  const std::uint64_t copies_before = frame_stats().copies();
+  const auto outcomes = pipeline.RunOpenLoop();
+  ASSERT_EQ(outcomes.size(), 400u);
+  std::set<proto::TaskKind> hit_kinds;
+  for (const auto& o : outcomes) {
+    EXPECT_FALSE(o.outcome.error);
+    if (o.outcome.source == ResultSource::kEdgeCache) {
+      hit_kinds.insert(o.outcome.task);
+    }
+  }
+  EXPECT_EQ(hit_kinds.size(), 3u);  // every result type rode the hit path
+  const auto metrics = pipeline.MergedMetricsSnapshot();
+  EXPECT_EQ(metrics.value("netsim.gather_flattens"), 0u);
+  EXPECT_EQ(metrics.value("netsim.gather_flatten_bytes"), 0u);
+  EXPECT_EQ(frame_stats().copies(), copies_before);
+}
+
 // ---------------------------------------------------------------------------
 // Two-tier (hierarchical) federation
 // ---------------------------------------------------------------------------

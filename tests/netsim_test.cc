@@ -798,6 +798,14 @@ TEST_F(LinkFixture, BurstLossReplaysBitIdenticallyPerSeed) {
   EXPECT_NE(std::count(first.begin(), first.end(), false), 0);
 }
 
+/// concat(head, tail) as one byte vector.
+ByteVec Fused(const Frame& head, const Frame& tail) {
+  ByteVec out = head.CloneBytes();
+  const ByteVec tail_bytes = tail.CloneBytes();
+  out.insert(out.end(), tail_bytes.begin(), tail_bytes.end());
+  return out;
+}
+
 TEST_F(LinkFixture, GatherSendDeliversTheFusedBytesWithOneLossDraw) {
   // Head + tail travel as one frame: one serialization slot, one loss
   // draw, and the receiver sees exactly concat(head, tail).
@@ -805,25 +813,105 @@ TEST_F(LinkFixture, GatherSendDeliversTheFusedBytesWithOneLossDraw) {
   const Frame head(DeterministicBytes(24, 1));
   const Frame tail(DeterministicBytes(4096, 2));
   ByteVec got;
-  link.SendGather(head, tail, [&](Frame f) { got = f.CloneBytes(); });
+  link.SendGather(head, tail, [&](Frame h, Frame t) { got = Fused(h, t); });
   sched.Run();
-  ByteVec expect = head.CloneBytes();
-  const ByteVec tail_bytes = tail.CloneBytes();
-  expect.insert(expect.end(), tail_bytes.begin(), tail_bytes.end());
-  EXPECT_EQ(got, expect);
+  EXPECT_EQ(got, Fused(head, tail));
   EXPECT_EQ(link.stats().frames_sent, 1u);
   EXPECT_EQ(link.stats().bytes_delivered, head.size() + tail.size());
+
+  // One loss draw for the pair: a gather send and a plain send of the
+  // fused bytes leave a lossy link's rng in the same state.
+  LinkConfig lossy;
+  lossy.loss_rate = 0.5;
+  Link gathered(sched, "gathered", lossy);
+  Link fused(sched, "fused", lossy);
+  std::vector<bool> gathered_fate;
+  std::vector<bool> fused_fate;
+  for (int i = 0; i < 64; ++i) {
+    gathered.SendGather(
+        head, tail, [&](Frame, Frame) { gathered_fate.push_back(true); },
+        [&](DropReason, Frame) { gathered_fate.push_back(false); });
+    fused.Send(
+        Frame(Fused(head, tail)), [&](Frame) { fused_fate.push_back(true); },
+        [&](DropReason, Frame) { fused_fate.push_back(false); });
+  }
+  sched.Run();
+  EXPECT_EQ(gathered_fate, fused_fate);
+  EXPECT_NE(std::count(gathered_fate.begin(), gathered_fate.end(), false), 0);
 }
 
-TEST_F(LinkFixture, GatherSendFlattenIsNotACountedCopy) {
-  // Receive-side materialization mirrors a socket read: deliberately
-  // outside the frame-copy accounting, same as ByteWriter encodes.
-  Link link(sched, "gather", LinkConfig{});
+TEST(NetworkGatherTest, LosslessGatheredDeliveryDoesNoFlattenAndSharesTheTail) {
+  // The pair reaches the gather handler as the sender's own segments:
+  // no flatten, no counted copy, and the tail is the sender's buffer.
+  EventScheduler sched;
+  Network net(sched);
+  const NodeId a = net.AddNode("a");
+  const NodeId b = net.AddNode("b");
+  net.Connect(a, b, LinkConfig{});
+  const Frame head(DeterministicBytes(24, 1));
+  const Frame tail(DeterministicBytes(64 * 1024, 2));
+  net.SetHandler(b, [](NodeId, Frame) { ADD_FAILURE() << "plain delivery"; });
+  Frame got_head;
+  Frame got_tail;
+  net.SetGatherHandler(b, [&](NodeId from, Frame h, Frame t) {
+    EXPECT_EQ(from, a);
+    got_head = std::move(h);
+    got_tail = std::move(t);
+  });
   const std::uint64_t copies_before = frame_stats().copies();
-  link.SendGather(Frame(DeterministicBytes(16, 1)),
-                  Frame(DeterministicBytes(1024, 2)), [](Frame) {});
+  net.SendGather(a, b, head, tail);
   sched.Run();
   EXPECT_EQ(frame_stats().copies(), copies_before);
+  EXPECT_EQ(net.LinkBetween(a, b).stats().gather_flattens, 0u);
+  EXPECT_EQ(net.LinkBetween(a, b).stats().gather_flatten_bytes, 0u);
+  EXPECT_TRUE(got_head.SharesBufferWith(head));
+  EXPECT_TRUE(got_tail.SharesBufferWith(tail));
+  EXPECT_EQ(got_tail.size(), tail.size());
+}
+
+TEST(NetworkGatherTest, DropPathFlattensOnceAndCountsIt) {
+  // DropFn takes one frame, so a lost gather pair is materialized for the
+  // report — the one flatten left on an intra-shard link.
+  EventScheduler sched;
+  Network net(sched);
+  const NodeId a = net.AddNode("a");
+  const NodeId b = net.AddNode("b");
+  net.Connect(a, b, LinkConfig{});
+  net.SetGatherHandler(b, [](NodeId, Frame, Frame) {
+    ADD_FAILURE() << "a forced drop was delivered";
+  });
+  const Frame head(DeterministicBytes(24, 1));
+  const Frame tail(DeterministicBytes(1000, 2));
+  net.LinkBetween(a, b).ForceDropNext(1);
+  ByteVec dropped;
+  net.SendGather(a, b, head, tail,
+                 [&](DropReason, Frame f) { dropped = f.CloneBytes(); });
+  sched.Run();
+  EXPECT_EQ(dropped, Fused(head, tail));
+  EXPECT_EQ(net.LinkBetween(a, b).stats().gather_flattens, 1u);
+  EXPECT_EQ(net.LinkBetween(a, b).stats().gather_flatten_bytes,
+            head.size() + tail.size());
+}
+
+TEST(NetworkGatherTest, CrossShardGatherFlattensIntoTheTimedHandoff) {
+  // The remote-dispatch hook carries one frame: the pair is flattened
+  // (counted) and rides the hook with its computed delivery time.
+  EventScheduler sched;
+  Network net(sched);
+  const NodeId a = net.AddNode("a");
+  const NodeId b = net.AddNode("b");
+  net.ConnectOneWay(a, b, LinkConfig{});
+  net.MarkRemote(b);
+  ByteVec handed_off;
+  net.SetRemoteDispatch([&](NodeId, NodeId to, SimTime, Frame f) {
+    EXPECT_EQ(to, b);
+    handed_off = f.CloneBytes();
+  });
+  const Frame head(DeterministicBytes(24, 1));
+  const Frame tail(DeterministicBytes(1000, 2));
+  net.SendGather(a, b, head, tail);
+  EXPECT_EQ(handed_off, Fused(head, tail));
+  EXPECT_EQ(net.LinkBetween(a, b).stats().gather_flattens, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -918,17 +1006,31 @@ TEST_F(DatagramFixture, LostChunkDiscardsTheWholeMessageAndReportsOnce) {
 }
 
 TEST_F(DatagramFixture, GatherAboveMtuFallsBackToFlattenAndFragment) {
+  // Over the MTU the pair is flattened (counted) and fragmented; the
+  // reassembled message arrives whole at the plain handler.
   const Frame head(DeterministicBytes(40, 1));
   const Frame tail(DeterministicBytes(2000, 2));
   ByteVec got;
   net.SetHandler(b, [&](NodeId, Frame f) { got = f.CloneBytes(); });
+  net.SetGatherHandler(b, [](NodeId, Frame, Frame) {
+    ADD_FAILURE() << "an over-MTU gather arrived in two segments";
+  });
   net.SendGather(a, b, head, tail);
   sched.Run();
-  ByteVec expect = head.CloneBytes();
-  const ByteVec tail_bytes = tail.CloneBytes();
-  expect.insert(expect.end(), tail_bytes.begin(), tail_bytes.end());
-  EXPECT_EQ(got, expect);
+  EXPECT_EQ(got, Fused(head, tail));
   EXPECT_EQ(net.datagram_stats().messages_fragmented, 1u);
+  EXPECT_EQ(net.LinkBetween(a, b).stats().gather_flattens, 1u);
+  EXPECT_EQ(net.LinkBetween(a, b).stats().gather_flatten_bytes,
+            head.size() + tail.size());
+
+  // At or below the MTU the pair rides one datagram, unfused.
+  Frame got_tail;
+  net.SetGatherHandler(b, [&](NodeId, Frame, Frame t) { got_tail = t; });
+  const Frame small_tail(DeterministicBytes(512, 3));
+  net.SendGather(a, b, head, small_tail);
+  sched.Run();
+  EXPECT_TRUE(got_tail.SharesBufferWith(small_tail));
+  EXPECT_EQ(net.LinkBetween(a, b).stats().gather_flattens, 1u);
 }
 
 TEST(NetworkSeedTest, SharedLinkConfigLossDrawsAreDecorrelatedPerLink) {

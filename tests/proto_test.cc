@@ -431,6 +431,212 @@ TEST(MessagesTest, ResultSourceOffsetMatchesThePatchedByte) {
   check(MessageType::kPanoramaResult, payload_of(panorama));
 }
 
+// ---------------------------------------------------------------------------
+// Gathered decode: a result frame split at its blob body
+// ---------------------------------------------------------------------------
+
+/// A result frame cut into the two segments an edge sends: everything up
+/// to and including the blob's length prefix, then the blob body.
+struct GatheredFrame {
+  ByteVec head;
+  ByteVec tail;
+};
+
+GatheredFrame SplitAtBlob(MessageType type, const ByteVec& frame) {
+  const auto offset = ResultBlobOffset(
+      type, std::span<const std::uint8_t>(frame).subspan(kEnvelopeHeaderSize));
+  EXPECT_TRUE(offset.ok()) << offset.status().ToString();
+  const auto split = static_cast<std::ptrdiff_t>(kEnvelopeHeaderSize +
+                                                 offset.value_or(0));
+  return {ByteVec(frame.begin(), frame.begin() + split),
+          ByteVec(frame.begin() + split, frame.end())};
+}
+
+/// Overwrites the envelope header's payload-length field.
+void SetPayloadLength(ByteVec& head, std::uint32_t len) {
+  std::memcpy(head.data() + 16, &len, 4);
+}
+
+RecognitionResult SampleRecognitionResult() {
+  RecognitionResult m;
+  m.frame_id = 11;
+  m.label = "object_2";
+  m.confidence = 0.75f;
+  m.source = ResultSource::kPeerEdge;
+  m.annotation = DeterministicBytes(3000, 3);
+  return m;
+}
+
+RenderResult SampleRenderResult() {
+  RenderResult m;
+  m.model_id = 4;
+  m.source = ResultSource::kEdgeCache;
+  m.model_bytes = DeterministicBytes(9000, 4);
+  return m;
+}
+
+PanoramaResult SamplePanoramaResult() {
+  PanoramaResult m;
+  m.video_id = 5;
+  m.frame_index = 9;
+  m.source = ResultSource::kCloud;
+  m.width = 64;
+  m.height = 32;
+  m.frame = DeterministicBytes(64 * 32 * 3, 5);
+  return m;
+}
+
+/// Gathered decode of `msg` split at its blob equals the fused decode,
+/// and the view decoder's blob points into the tail (read in place).
+template <typename M, typename View>
+void ExpectGatheredEqualsFused(const M& msg, MessageType type,
+                               std::span<const std::uint8_t> View::*blob) {
+  const ByteVec frame = EncodeMessage(type, 31, msg);
+  const GatheredFrame g = SplitAtBlob(type, frame);
+  ASSERT_FALSE(g.tail.empty());
+
+  const auto fused_env = DecodeEnvelopeView(frame);
+  ASSERT_TRUE(fused_env.ok());
+  const auto fused = DecodePayloadAs<M>(fused_env.value(), type);
+  ASSERT_TRUE(fused.ok());
+
+  const auto env = DecodeEnvelopeView(g.head, g.tail);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  EXPECT_EQ(env.value().type, type);
+  EXPECT_EQ(env.value().request_id, 31u);
+  const auto gathered = DecodePayloadAs<M>(env.value(), type);
+  ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
+  EXPECT_EQ(gathered.value(), fused.value());
+  EXPECT_EQ(gathered.value(), msg);
+
+  const auto view = DecodePayloadAs<View>(env.value(), type);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ((view.value().*blob).data(), g.tail.data());
+  EXPECT_EQ((view.value().*blob).size(), g.tail.size());
+}
+
+TEST(GatheredDecodeTest, EqualsFusedDecodeForEveryResultType) {
+  ExpectGatheredEqualsFused(SampleRecognitionResult(),
+                            MessageType::kRecognitionResult,
+                            &RecognitionResultView::annotation);
+  ExpectGatheredEqualsFused(SampleRenderResult(), MessageType::kRenderResult,
+                            &RenderResultView::model_bytes);
+  ExpectGatheredEqualsFused(SamplePanoramaResult(),
+                            MessageType::kPanoramaResult,
+                            &PanoramaResultView::frame);
+}
+
+TEST(GatheredDecodeTest, ResultBlobOffsetNamesTheBlobBody) {
+  const auto payload_of = [](const auto& msg) {
+    ByteWriter w;
+    msg.Encode(w);
+    return w.TakeBytes();
+  };
+  const auto recognition = SampleRecognitionResult();
+  const auto render = SampleRenderResult();
+  const auto panorama = SamplePanoramaResult();
+  const ByteVec rp = payload_of(recognition);
+  EXPECT_EQ(ResultBlobOffset(MessageType::kRecognitionResult, rp).value(),
+            rp.size() - recognition.annotation.size());
+  const ByteVec mp = payload_of(render);
+  EXPECT_EQ(ResultBlobOffset(MessageType::kRenderResult, mp).value(),
+            mp.size() - render.model_bytes.size());
+  const ByteVec pp = payload_of(panorama);
+  EXPECT_EQ(ResultBlobOffset(MessageType::kPanoramaResult, pp).value(),
+            pp.size() - panorama.frame.size());
+
+  // An empty blob: the offset is the payload's end.
+  RenderResult empty;
+  EXPECT_EQ(ResultBlobOffset(MessageType::kRenderResult, payload_of(empty))
+                .value(),
+            13u);
+
+  EXPECT_FALSE(ResultBlobOffset(MessageType::kPing, rp).ok());
+  EXPECT_FALSE(ResultBlobOffset(MessageType::kRenderResult,
+                                std::span(mp).first(12))
+                   .ok());
+  // A prefix that disagrees with the bytes after it.
+  EXPECT_FALSE(ResultBlobOffset(MessageType::kRenderResult,
+                                std::span(mp).first(mp.size() - 1))
+                   .ok());
+}
+
+TEST(GatheredDecodeTest, RejectsATailLengthThatDiffersFromThePrefix) {
+  const ByteVec frame =
+      EncodeMessage(MessageType::kRenderResult, 1, SampleRenderResult());
+  for (const int delta : {-1, 1}) {
+    GatheredFrame g = SplitAtBlob(MessageType::kRenderResult, frame);
+    if (delta < 0) {
+      g.tail.pop_back();
+    } else {
+      g.tail.push_back(0);
+    }
+    // Header length kept consistent, so only the blob prefix disagrees.
+    SetPayloadLength(g.head, static_cast<std::uint32_t>(
+                                 g.head.size() - kEnvelopeHeaderSize +
+                                 g.tail.size()));
+    const auto env = DecodeEnvelopeView(g.head, g.tail);
+    ASSERT_TRUE(env.ok());
+    const auto decoded =
+        DecodePayloadAs<RenderResultView>(env.value(), MessageType::kRenderResult);
+    ASSERT_FALSE(decoded.ok()) << "delta " << delta;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  }
+}
+
+TEST(GatheredDecodeTest, RejectsStrayHeadBytesAfterThePrefix) {
+  const ByteVec frame = EncodeMessage(MessageType::kRecognitionResult, 1,
+                                      SampleRecognitionResult());
+  GatheredFrame g = SplitAtBlob(MessageType::kRecognitionResult, frame);
+  // Move the first body byte into the head: same total, wrong split.
+  g.head.push_back(g.tail.front());
+  g.tail.erase(g.tail.begin());
+  const auto env = DecodeEnvelopeView(g.head, g.tail);
+  ASSERT_TRUE(env.ok());
+  const auto decoded = DecodePayloadAs<RecognitionResult>(
+      env.value(), MessageType::kRecognitionResult);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(GatheredDecodeTest, RejectsScalarAndStringReadsThatReachTheTail) {
+  // Any split before the blob body leaves a scalar or string field (or
+  // the blob prefix itself) straddling into the tail: every one fails.
+  const ByteVec frame = EncodeMessage(MessageType::kRecognitionResult, 1,
+                                      SampleRecognitionResult());
+  const std::size_t blob_split =
+      SplitAtBlob(MessageType::kRecognitionResult, frame).head.size();
+  for (std::size_t split = kEnvelopeHeaderSize; split < blob_split; ++split) {
+    const std::span<const std::uint8_t> all(frame);
+    const auto env = DecodeEnvelopeView(all.first(split), all.subspan(split));
+    ASSERT_TRUE(env.ok()) << "split " << split;
+    const auto decoded = DecodePayloadAs<RecognitionResultView>(
+        env.value(), MessageType::kRecognitionResult);
+    ASSERT_FALSE(decoded.ok()) << "split " << split;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  }
+}
+
+TEST(GatheredDecodeTest, RejectsAHeaderLengthThatDiffersFromHeadPlusTail) {
+  const ByteVec frame =
+      EncodeMessage(MessageType::kPanoramaResult, 1, SamplePanoramaResult());
+  for (const int delta : {-1, 1}) {
+    GatheredFrame g = SplitAtBlob(MessageType::kPanoramaResult, frame);
+    std::uint32_t len = 0;
+    std::memcpy(&len, g.head.data() + 16, 4);
+    SetPayloadLength(g.head, static_cast<std::uint32_t>(len + delta));
+    const auto env = DecodeEnvelopeView(g.head, g.tail);
+    ASSERT_FALSE(env.ok()) << "delta " << delta;
+    EXPECT_EQ(env.status().code(), StatusCode::kDataLoss);
+  }
+  // A head shorter than the envelope header is rejected, tail or not.
+  const GatheredFrame g = SplitAtBlob(MessageType::kPanoramaResult, frame);
+  EXPECT_FALSE(
+      DecodeEnvelopeView(std::span(g.head).first(kEnvelopeHeaderSize - 1),
+                         g.tail)
+          .ok());
+}
+
 TEST(MessagesTest, ResultSourceOffsetRejectsNonResultsAndShortPayloads) {
   EXPECT_FALSE(ResultSourceOffset(MessageType::kPing, ByteVec(64, 0)).ok());
   EXPECT_FALSE(
