@@ -11,7 +11,6 @@
 #include "bench/bench_util.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "core/coop_pipeline.h"
 
 namespace coic::bench {
 namespace {
@@ -26,10 +25,15 @@ struct CoopResult {
 
 CoopResult MeasureCoop(bool cooperative, double overlap_fraction,
                        std::size_t requests_per_venue) {
-  core::CoopPipelineConfig config;
+  // Two venues; a miss probes the one peer directly, and no summaries
+  // are gossiped, so the peer link carries only probes and replies.
+  federation::FederationPipelineConfig config;
+  config.venues = 2;
+  config.policy.kind = federation::PeerSelectKind::kBroadcastAll;
+  config.gossip_period = Duration::Infinite();
   config.cooperative = cooperative;
   config.recognition_classes = 40;
-  core::CoopPipeline pipeline(config);
+  federation::FederationPipeline pipeline(config);
 
   Rng rng(0xC00B);
   // Venue A's users sweep objects 1..12 (warming A).

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/metrics.h"
-#include "core/sim_pipeline.h"
+#include "federation/federation_pipeline.h"
 
 namespace coic::bench {
 
@@ -173,22 +173,24 @@ struct HitMissLatency {
 inline HitMissLatency MeasureRecognitionCoic(const core::NetworkCondition& cond,
                                              int repeats = 5,
                                              std::uint64_t scene_id = 3) {
-  core::PipelineConfig config;
+  federation::FederationPipelineConfig config;
+  config.venues = 1;
   config.mode = proto::OffloadMode::kCoic;
   config.network = cond;
-  core::SimPipeline pipeline(config);
+  federation::FederationPipeline pipeline(config);
 
-  pipeline.EnqueueRecognition({.scene_id = scene_id});
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = scene_id});
   const auto cold = pipeline.Run();
   HitMissLatency result;
-  result.miss_ms = cold[0].latency.millis();
+  result.miss_ms = cold[0].outcome.latency.millis();
 
   core::QoeAggregator hits;
   for (int i = 1; i <= repeats; ++i) {
-    pipeline.EnqueueRecognition(
-        {.scene_id = scene_id, .view_angle_deg = static_cast<double>(i - 3)});
+    pipeline.EnqueueRecognitionAt(
+        0, {.scene_id = scene_id,
+            .view_angle_deg = static_cast<double>(i - 3)});
   }
-  hits.AddAll(pipeline.Run());
+  for (const auto& o : pipeline.Run()) hits.Add(o.outcome);
   result.hit_ms = hits.MeanLatencyMs();
   return result;
 }
@@ -197,15 +199,16 @@ inline HitMissLatency MeasureRecognitionCoic(const core::NetworkCondition& cond,
 inline double MeasureRecognitionOrigin(const core::NetworkCondition& cond,
                                        int repeats = 3,
                                        std::uint64_t scene_id = 3) {
-  core::PipelineConfig config;
+  federation::FederationPipelineConfig config;
+  config.venues = 1;
   config.mode = proto::OffloadMode::kOrigin;
   config.network = cond;
-  core::SimPipeline pipeline(config);
+  federation::FederationPipeline pipeline(config);
   for (int i = 0; i < repeats; ++i) {
-    pipeline.EnqueueRecognition({.scene_id = scene_id});
+    pipeline.EnqueueRecognitionAt(0, {.scene_id = scene_id});
   }
   core::QoeAggregator agg;
-  agg.AddAll(pipeline.Run());
+  for (const auto& o : pipeline.Run()) agg.Add(o.outcome);
   return agg.MeanLatencyMs();
 }
 

@@ -15,7 +15,7 @@
 #include <cstdlib>
 
 #include "core/metrics.h"
-#include "core/sim_pipeline.h"
+#include "federation/federation_pipeline.h"
 #include "trace/workload.h"
 
 using namespace coic;
@@ -36,11 +36,12 @@ int main(int argc, char** argv) {
   // Avatar catalogue shared by all players.
   const std::vector<std::uint64_t> avatars = {1, 2, 3, 4};
 
-  core::PipelineConfig config;
+  federation::FederationPipelineConfig config;
+  config.venues = 1;
   config.mode = proto::OffloadMode::kCoic;
   config.network = {Bandwidth::Mbps(200), Bandwidth::Mbps(20)};
   config.recognition_classes = 20;
-  core::SimPipeline pipeline(config);
+  federation::FederationPipeline pipeline(config);
   for (const std::uint64_t avatar : avatars) {
     pipeline.RegisterModel(avatar, KB(800 + 350 * avatar));
   }
@@ -52,16 +53,16 @@ int main(int argc, char** argv) {
       case trace::IcTaskType::kRecognition: {
         vision::SceneParams scene = rec.scene;
         scene.scene_id = 1 + scene.scene_id % 20;  // clamp to class space
-        pipeline.EnqueueRecognition(scene);
+        pipeline.EnqueueRecognitionAt(0, scene);
         ++recognition;
         break;
       }
       case trace::IcTaskType::kRender:
-        pipeline.EnqueueRender(rec.model_id);
+        pipeline.EnqueueRenderAt(0, rec.model_id);
         ++renders;
         break;
       case trace::IcTaskType::kPanorama:
-        pipeline.EnqueuePanorama(rec.video_id, rec.frame_index);
+        pipeline.EnqueuePanoramaAt(0, rec.video_id, rec.frame_index);
         ++panoramas;
         break;
     }
@@ -69,7 +70,8 @@ int main(int argc, char** argv) {
 
   const auto outcomes = pipeline.Run();
   core::QoeAggregator all, rec_agg, render_agg, pano_agg;
-  for (const auto& outcome : outcomes) {
+  for (const auto& o : outcomes) {
+    const core::RequestOutcome& outcome = o.outcome;
     all.Add(outcome);
     switch (outcome.task) {
       case proto::TaskKind::kRecognition: rec_agg.Add(outcome); break;
@@ -81,7 +83,7 @@ int main(int argc, char** argv) {
   std::printf("Shared-world session: %u players, %zu IC requests "
               "(%zu recognize, %zu avatar loads, %zu panoramas)\n\n",
               users, requests, recognition, renders, panoramas);
-  const auto& stats = pipeline.edge_cache_stats();
+  const auto& stats = pipeline.edge(0).cache().stats();
   std::printf("edge cache: %llu hits / %llu misses (%.1f%% hit rate), "
               "%llu results cached\n\n",
               static_cast<unsigned long long>(stats.hits),

@@ -13,7 +13,7 @@
 //   ./vr_panorama
 #include <cstdio>
 
-#include "core/sim_pipeline.h"
+#include "federation/federation_pipeline.h"
 #include "render/panorama.h"
 
 using namespace coic;
@@ -41,15 +41,18 @@ int main() {
   constexpr std::uint64_t kVideo = 7;
 
   // --- Transport: two viewers fetch the same frames through the edge ------
-  core::PipelineConfig config;
+  federation::FederationPipelineConfig config;
+  config.venues = 1;
   config.mode = proto::OffloadMode::kCoic;
   config.network = {Bandwidth::Mbps(200), Bandwidth::Mbps(20)};
-  core::SimPipeline pipeline(config);
+  federation::FederationPipeline pipeline(config);
 
-  // Viewer A then viewer B request frames 0..3 (B trails A).
+  // Viewer A then viewer B request frames 0..3 (B trails A). The edge
+  // caches whole panoramas, so each viewer crops its own viewport on
+  // the device (display path below).
   for (std::uint32_t frame = 0; frame < 4; ++frame) {
-    pipeline.EnqueuePanorama(kVideo, frame, proto::Viewport{0, 0, 90});
-    pipeline.EnqueuePanorama(kVideo, frame, proto::Viewport{60, -10, 90});
+    pipeline.EnqueuePanoramaAt(0, kVideo, frame);
+    pipeline.EnqueuePanoramaAt(0, kVideo, frame);
   }
   const auto outcomes = pipeline.Run();
 
@@ -59,10 +62,10 @@ int main() {
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     std::printf("%-8u %-8s %-8s %8.1fms\n",
                 static_cast<std::uint32_t>(i / 2), i % 2 == 0 ? "A" : "B",
-                outcomes[i].source == proto::ResultSource::kEdgeCache
+                outcomes[i].outcome.source == proto::ResultSource::kEdgeCache
                     ? "edge"
                     : "cloud",
-                outcomes[i].latency.millis());
+                outcomes[i].outcome.latency.millis());
   }
   std::printf("\nViewer B's frames all hit the edge cache: the panorama "
               "rendered for A is reused.\n\n");

@@ -631,7 +631,7 @@ void FederationPipeline::WireClient(std::uint32_t venue, std::uint32_t mobile) {
 
   CoicClient::Config client_config;
   client_config.costs = config_.costs;
-  client_config.mode = proto::OffloadMode::kCoic;
+  client_config.mode = config_.mode;
   client_config.extractor = config_.extractor;
   client_config.user_id = index + 1;
   // Disjoint id spaces so concurrent clients' requests never collide at
@@ -1463,12 +1463,6 @@ std::uint64_t FederationPipeline::total_overload_rejects() const {
   return total;
 }
 
-std::uint64_t FederationPipeline::total_grace_hits() const {
-  std::uint64_t total = 0;
-  for (const auto& e : edges_) total += e->grace_hits();
-  return total;
-}
-
 // Gossip counters live in per-shard registry cells; the cluster-wide
 // view is their sum (one non-zero cell per venue's home shard).
 std::uint64_t FederationPipeline::summary_updates_sent() const noexcept {
@@ -1547,14 +1541,6 @@ std::uint64_t FederationPipeline::region_digests_applied() const noexcept {
   return total;
 }
 
-std::uint64_t FederationPipeline::region_digest_stale_drops() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& sh : shards_) {
-    total += sh->region.digest_stale_drops.value();
-  }
-  return total;
-}
-
 std::uint64_t FederationPipeline::region_head_forwards() const noexcept {
   std::uint64_t total = 0;
   for (const auto& sh : shards_) total += sh->region.head_forwards.value();
@@ -1578,12 +1564,6 @@ std::uint64_t FederationPipeline::region_failovers() const noexcept {
 std::uint64_t FederationPipeline::arena_reuses() const noexcept {
   std::uint64_t total = 0;
   for (const auto& sh : shards_) total += sh->arena.reuses();
-  return total;
-}
-
-std::uint64_t FederationPipeline::arena_allocations() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& sh : shards_) total += sh->arena.allocations();
   return total;
 }
 
@@ -1718,6 +1698,7 @@ void FederationPipeline::IssueNext() {
   op.start([this, venue](core::RequestOutcome outcome) {
     ShardState& sh = *shards_.front();
     sh.outcomes.push_back({venue, std::move(outcome), sh.sched.now()});
+    ++sh.completed;
     IssueNext();
   });
 }
@@ -1728,17 +1709,24 @@ std::vector<FederationOutcome> FederationPipeline::Run() {
                  "sharded pipelines must use RunOpenLoop");
   ShardState& sh = *shards_.front();
   sh.outcomes.clear();
+  expected_ = ops_.size();
+  sh.completed = 0;
   IssueNext();
   sh.sched.Run();
+  // A request whose frame was lost strands the loop: nothing issues the
+  // ops behind it, and the last op's outcome would simply be missing.
+  for (const auto& client : clients_) {
+    COIC_CHECK_MSG(client->inflight() == 0, StrandedDiagnostic());
+  }
   COIC_CHECK_MSG(ops_.empty(), "pipeline drained with operations unissued");
   return std::move(sh.outcomes);
 }
 
 std::string FederationPipeline::StrandedDiagnostic() const {
-  // A stranded open-loop run (dropped frame, lossy link) used to fail
-  // with a bare count; naming the stuck request ids and where they are
-  // parked turns the CHECK into a directly actionable report.
-  std::string msg = "open-loop drained with " +
+  // A stranded run (dropped frame, lossy link) used to fail with a bare
+  // count; naming the stuck request ids and where they are parked turns
+  // the CHECK into a directly actionable report.
+  std::string msg = "run drained with " +
                     std::to_string(expected_ - TotalCompleted()) + " of " +
                     std::to_string(expected_) + " operations incomplete:";
   constexpr std::size_t kMaxIdsNamed = 8;

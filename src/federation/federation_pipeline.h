@@ -1,13 +1,15 @@
 // FederationPipeline — an N-edge cooperative cluster on the netsim
 // substrate.
 //
-// Generalizes the pairwise CoopPipeline to K venues × M mobiles each,
-// sharing one cloud. Venues are joined by a Topology (star / ring /
-// full mesh / custom); each edge periodically gossips a CacheSummary of
-// its content, and on a local miss a PeerSelectPolicy picks which peers
-// to probe (broadcast-all, summary-directed, or random-k) within a
-// per-edge probe budget and hop limit. Frames between non-adjacent
-// venues ride FederatedRelay envelopes hop by hop along shortest paths.
+// The one closed-loop and open-loop engine: K venues × M mobiles each,
+// sharing one cloud. One venue is the paper's testbed (mobile, edge,
+// cloud); more venues add the cooperative federation. Venues are joined
+// by a Topology (star / ring / full mesh / custom); each edge
+// periodically gossips a CacheSummary of its content, and on a local
+// miss a PeerSelectPolicy picks which peers to probe (broadcast-all,
+// summary-directed, or random-k) within a per-edge probe budget and hop
+// limit. Frames between non-adjacent venues ride FederatedRelay
+// envelopes hop by hop along shortest paths.
 //
 //   mobile(v,m) —wifi— edge(v) —peer links per Topology— edge(u) ...
 //                        \________ WAN ________ cloud ______/
@@ -175,6 +177,9 @@ struct FederationPipelineConfig {
   std::uint32_t venues = 4;
   /// Mobiles attached to each venue.
   std::uint32_t mobiles_per_venue = 1;
+  /// How every client offloads: CoIC (descriptor first, edge cache) or
+  /// the Origin baseline (full input to the cloud, no cache).
+  proto::OffloadMode mode = proto::OffloadMode::kCoic;
   /// Per-venue access + WAN bandwidths (venues symmetric).
   core::NetworkCondition network{Bandwidth::Mbps(100), Bandwidth::Mbps(10)};
   TopologyKind topology = TopologyKind::kFullMesh;
@@ -394,9 +399,8 @@ class FederationPipeline {
   /// byte comparison.
   [[nodiscard]] std::uint64_t region_digest_bytes() const noexcept;
   /// Digests accepted into a RegionDigestTable (fresh version or head
-  /// succession) vs. dropped as stale.
+  /// succession); stale drops count under "region.digest_stale_drops".
   [[nodiscard]] std::uint64_t region_digests_applied() const noexcept;
-  [[nodiscard]] std::uint64_t region_digest_stale_drops() const noexcept;
   /// Cross-region probes a head relayed to its best-matching member vs.
   /// answered from its own cache.
   [[nodiscard]] std::uint64_t region_head_forwards() const noexcept;
@@ -418,9 +422,8 @@ class FederationPipeline {
                                       std::uint32_t region) const {
     return HeadOf(venue, region);
   }
-  /// Arena recycling stats summed over shards (bench_micro rows).
+  /// Arena recycling reuses summed over shards.
   [[nodiscard]] std::uint64_t arena_reuses() const noexcept;
-  [[nodiscard]] std::uint64_t arena_allocations() const noexcept;
 
   /// SummaryAck frames piggybacked on peer traffic (transport.summary_ack).
   [[nodiscard]] std::uint64_t summary_acks_sent() const noexcept;
@@ -462,7 +465,6 @@ class FederationPipeline {
   [[nodiscard]] std::uint64_t total_cloud_retransmissions() const;
   [[nodiscard]] std::uint64_t total_cloud_timeouts() const;
   [[nodiscard]] std::uint64_t total_leader_promotions() const;
-  [[nodiscard]] std::uint64_t total_grace_hits() const;
 
   /// Cluster-wide overload-control counters: edge-side sheds (admission
   /// + deadline + breaker) and client-side overload rejects received.
@@ -697,7 +699,7 @@ class FederationPipeline {
   /// Rebuilds venue's summary + memoized full frame if the cache changed
   /// since the last build; shared by both gossip modes.
   void RefreshSummary(std::uint32_t venue);
-  /// Diagnostic for a stranded open-loop workload: names the stuck
+  /// Diagnostic for a stranded workload (either loop): names the stuck
   /// request ids and per-venue pending counts.
   [[nodiscard]] std::string StrandedDiagnostic() const;
   /// Runs a gossip round if the period elapsed (called between ops).

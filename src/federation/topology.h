@@ -1,12 +1,12 @@
 // Federation topology — which edge venues are wired to which.
 //
-// The pairwise CoopPipeline hard-codes a single LAN link; a metro-scale
-// cluster needs an explicit graph. A Topology holds the peer links of an
-// N-venue cluster (star / ring / full mesh / custom adjacency, each link
-// with its own Bandwidth and propagation), precomputes all-pairs
-// shortest paths, and can stamp itself onto a netsim::Network. Frames
-// between non-adjacent venues are source-routed hop by hop along
-// NextHop() by the federation pipeline's relay layer.
+// Two venues need a single LAN link; a metro-scale cluster needs an
+// explicit graph. A Topology holds the peer links of an N-venue cluster
+// (star / ring / full mesh / custom adjacency, each link with its own
+// Bandwidth and propagation), precomputes all-pairs shortest paths, and
+// can stamp itself onto a netsim::Network. Frames between non-adjacent
+// venues are source-routed hop by hop along NextHop() by the federation
+// pipeline's relay layer.
 #pragma once
 
 #include <cstdint>

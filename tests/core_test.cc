@@ -6,19 +6,24 @@
 #include "core/cost_model.h"
 #include "core/layered.h"
 #include "core/metrics.h"
-#include "core/sim_pipeline.h"
+#include "federation/federation_pipeline.h"
 
 namespace coic::core {
 namespace {
 
+using federation::FederationPipeline;
+using federation::FederationPipelineConfig;
 using proto::OffloadMode;
 using proto::ResultSource;
 using proto::TaskKind;
 
-PipelineConfig BaseConfig(OffloadMode mode,
-                          NetworkCondition cond = {Bandwidth::Mbps(90),
-                                                   Bandwidth::Mbps(9)}) {
-  PipelineConfig config;
+/// The paper's testbed: one mobile, one edge, one cloud.
+FederationPipelineConfig BaseConfig(OffloadMode mode,
+                                    NetworkCondition cond = {
+                                        Bandwidth::Mbps(90),
+                                        Bandwidth::Mbps(9)}) {
+  FederationPipelineConfig config;
+  config.venues = 1;
   config.mode = mode;
   config.network = cond;
   return config;
@@ -52,76 +57,77 @@ TEST(CostModelTest, ModelLoadScalesLinearly) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelineTest, ColdRecognitionMissesThenHits) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic));
-  pipeline.EnqueueRecognition({.scene_id = 3});
-  pipeline.EnqueueRecognition({.scene_id = 3, .view_angle_deg = 2});
-  pipeline.EnqueueRecognition({.scene_id = 3, .view_angle_deg = -2});
+  FederationPipeline pipeline(BaseConfig(OffloadMode::kCoic));
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 3});
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 3, .view_angle_deg = 2});
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 3, .view_angle_deg = -2});
   const auto outcomes = pipeline.Run();
   ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(outcomes[0].source, ResultSource::kCloud);
-  EXPECT_EQ(outcomes[1].source, ResultSource::kEdgeCache);
-  EXPECT_EQ(outcomes[2].source, ResultSource::kEdgeCache);
-  EXPECT_EQ(pipeline.edge_cache_stats().hits, 2u);
-  EXPECT_EQ(pipeline.edge_cache_stats().misses, 1u);
+  EXPECT_EQ(outcomes[0].outcome.source, ResultSource::kCloud);
+  EXPECT_EQ(outcomes[1].outcome.source, ResultSource::kEdgeCache);
+  EXPECT_EQ(outcomes[2].outcome.source, ResultSource::kEdgeCache);
+  EXPECT_EQ(pipeline.edge(0).cache().stats().hits, 2u);
+  EXPECT_EQ(pipeline.edge(0).cache().stats().misses, 1u);
 }
 
 TEST(PipelineTest, HitLatencyBelowMissLatency) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic));
-  pipeline.EnqueueRecognition({.scene_id = 5});
-  pipeline.EnqueueRecognition({.scene_id = 5, .view_angle_deg = 1});
+  FederationPipeline pipeline(BaseConfig(OffloadMode::kCoic));
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 5});
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 5, .view_angle_deg = 1});
   const auto outcomes = pipeline.Run();
-  EXPECT_LT(outcomes[1].latency, outcomes[0].latency);
+  EXPECT_LT(outcomes[1].outcome.latency, outcomes[0].outcome.latency);
 }
 
 TEST(PipelineTest, DifferentObjectsDoNotCrossHit) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic));
-  pipeline.EnqueueRecognition({.scene_id = 4});
-  pipeline.EnqueueRecognition({.scene_id = 9});
+  FederationPipeline pipeline(BaseConfig(OffloadMode::kCoic));
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 4});
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 9});
   const auto outcomes = pipeline.Run();
-  EXPECT_EQ(outcomes[1].source, ResultSource::kCloud);
-  EXPECT_EQ(pipeline.edge_cache_stats().hits, 0u);
+  EXPECT_EQ(outcomes[1].outcome.source, ResultSource::kCloud);
+  EXPECT_EQ(pipeline.edge(0).cache().stats().hits, 0u);
 }
 
 TEST(PipelineTest, RecognitionLabelsCorrectOnHitAndMiss) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic));
-  pipeline.EnqueueRecognition({.scene_id = 7});
-  pipeline.EnqueueRecognition({.scene_id = 7, .view_angle_deg = 3});
-  for (const auto& outcome : pipeline.Run()) {
-    EXPECT_TRUE(outcome.correct) << outcome.label;
-    EXPECT_EQ(outcome.label, "object_7");
-    EXPECT_FALSE(outcome.error);
+  FederationPipeline pipeline(BaseConfig(OffloadMode::kCoic));
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 7});
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 7, .view_angle_deg = 3});
+  for (const auto& o : pipeline.Run()) {
+    EXPECT_TRUE(o.outcome.correct) << o.outcome.label;
+    EXPECT_EQ(o.outcome.label, "object_7");
+    EXPECT_FALSE(o.outcome.error);
   }
 }
 
 TEST(PipelineTest, OriginNeverTouchesCache) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kOrigin));
-  for (int i = 0; i < 3; ++i) pipeline.EnqueueRecognition({.scene_id = 2});
+  FederationPipeline pipeline(BaseConfig(OffloadMode::kOrigin));
+  for (int i = 0; i < 3; ++i) pipeline.EnqueueRecognitionAt(0, {.scene_id = 2});
   const auto outcomes = pipeline.Run();
-  for (const auto& outcome : outcomes) {
-    EXPECT_EQ(outcome.source, ResultSource::kCloud);
+  for (const auto& o : outcomes) {
+    EXPECT_EQ(o.outcome.source, ResultSource::kCloud);
   }
-  EXPECT_EQ(pipeline.edge_cache_stats().hits, 0u);
-  EXPECT_EQ(pipeline.edge_cache_stats().misses, 0u);
-  EXPECT_EQ(pipeline.edge_cache_stats().insertions, 0u);
+  EXPECT_EQ(pipeline.edge(0).cache().stats().hits, 0u);
+  EXPECT_EQ(pipeline.edge(0).cache().stats().misses, 0u);
+  EXPECT_EQ(pipeline.edge(0).cache().stats().insertions, 0u);
   EXPECT_EQ(pipeline.cloud().tasks_executed(), 3u);
 }
 
 TEST(PipelineTest, OriginRepeatLatencyConstant) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kOrigin));
-  pipeline.EnqueueRecognition({.scene_id = 2});
-  pipeline.EnqueueRecognition({.scene_id = 2});
+  FederationPipeline pipeline(BaseConfig(OffloadMode::kOrigin));
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 2});
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 2});
   const auto outcomes = pipeline.Run();
-  EXPECT_EQ(outcomes[0].latency.micros(), outcomes[1].latency.micros());
+  EXPECT_EQ(outcomes[0].outcome.latency.micros(),
+            outcomes[1].outcome.latency.micros());
 }
 
 TEST(PipelineTest, CacheHitServedWithoutCloud) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic));
-  pipeline.EnqueueRecognition({.scene_id = 6});
+  FederationPipeline pipeline(BaseConfig(OffloadMode::kCoic));
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 6});
   (void)pipeline.Run();
   const auto cloud_tasks_before = pipeline.cloud().tasks_executed();
-  pipeline.EnqueueRecognition({.scene_id = 6, .view_angle_deg = 1});
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 6, .view_angle_deg = 1});
   const auto outcomes = pipeline.Run();
-  EXPECT_EQ(outcomes[0].source, ResultSource::kEdgeCache);
+  EXPECT_EQ(outcomes[0].outcome.source, ResultSource::kEdgeCache);
   EXPECT_EQ(pipeline.cloud().tasks_executed(), cloud_tasks_before);
 }
 
@@ -131,25 +137,25 @@ TEST(PipelineTest, MissCostsMoreThanOriginAtSameCondition) {
   // beat Origin at slow networks; at the fastest condition the Origin
   // transfer advantage vanishes and the miss must cost more.
   const NetworkCondition fast{Bandwidth::Mbps(400), Bandwidth::Mbps(40)};
-  SimPipeline origin(BaseConfig(OffloadMode::kOrigin, fast));
-  origin.EnqueueRecognition({.scene_id = 8});
+  FederationPipeline origin(BaseConfig(OffloadMode::kOrigin, fast));
+  origin.EnqueueRecognitionAt(0, {.scene_id = 8});
   const auto origin_out = origin.Run();
 
-  SimPipeline coic(BaseConfig(OffloadMode::kCoic, fast));
-  coic.EnqueueRecognition({.scene_id = 8});
+  FederationPipeline coic(BaseConfig(OffloadMode::kCoic, fast));
+  coic.EnqueueRecognitionAt(0, {.scene_id = 8});
   const auto miss_out = coic.Run();
 
-  EXPECT_GT(miss_out[0].latency, origin_out[0].latency);
+  EXPECT_GT(miss_out[0].outcome.latency, origin_out[0].outcome.latency);
 }
 
 TEST(PipelineTest, ClientComputeReportedOnCoicPath) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic));
-  pipeline.EnqueueRecognition({.scene_id = 1});
+  FederationPipeline pipeline(BaseConfig(OffloadMode::kCoic));
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 1});
   const auto outcomes = pipeline.Run();
   const CostModel costs;
-  EXPECT_EQ(outcomes[0].client_compute.micros(),
+  EXPECT_EQ(outcomes[0].outcome.client_compute.micros(),
             costs.recognition.mobile_extraction.micros());
-  EXPECT_GE(outcomes[0].latency, outcomes[0].client_compute);
+  EXPECT_GE(outcomes[0].outcome.latency, outcomes[0].outcome.client_compute);
 }
 
 // Warm-up property across the whole Figure 2a sweep: at every condition,
@@ -158,20 +164,20 @@ class Figure2aConditionTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(Figure2aConditionTest, HitBeatsMissEverywhere) {
   const auto cond = Figure2aConditions()[GetParam()];
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic, cond));
-  pipeline.EnqueueRecognition({.scene_id = 11});
-  pipeline.EnqueueRecognition({.scene_id = 11, .view_angle_deg = 2});
+  FederationPipeline pipeline(BaseConfig(OffloadMode::kCoic, cond));
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 11});
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 11, .view_angle_deg = 2});
   const auto outcomes = pipeline.Run();
-  ASSERT_EQ(outcomes[0].source, ResultSource::kCloud);
-  ASSERT_EQ(outcomes[1].source, ResultSource::kEdgeCache);
-  EXPECT_LT(outcomes[1].latency, outcomes[0].latency);
+  ASSERT_EQ(outcomes[0].outcome.source, ResultSource::kCloud);
+  ASSERT_EQ(outcomes[1].outcome.source, ResultSource::kEdgeCache);
+  EXPECT_LT(outcomes[1].outcome.latency, outcomes[0].outcome.latency);
   // The hit path never crosses E->C: it must beat the miss by at least
   // the E->C annotation download time.
   const CostModel costs;
   const Duration saved = cond.edge_cloud.TransmitTime(
       costs.recognition.annotation_bytes);
-  EXPECT_LT(outcomes[1].latency + saved,
-            outcomes[0].latency + Duration::Millis(1));
+  EXPECT_LT(outcomes[1].outcome.latency + saved,
+            outcomes[0].outcome.latency + Duration::Millis(1));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConditions, Figure2aConditionTest,
@@ -182,77 +188,82 @@ INSTANTIATE_TEST_SUITE_P(AllConditions, Figure2aConditionTest,
 // ---------------------------------------------------------------------------
 
 TEST(PipelineTest, RenderMissThenHitServesSameBytes) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
+  FederationPipeline pipeline(
+      BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
   pipeline.RegisterModel(1, KB(231));
-  pipeline.EnqueueRender(1);
-  pipeline.EnqueueRender(1);
+  pipeline.EnqueueRenderAt(0, 1);
+  pipeline.EnqueueRenderAt(0, 1);
   const auto outcomes = pipeline.Run();
   ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0].source, ResultSource::kCloud);
-  EXPECT_EQ(outcomes[1].source, ResultSource::kEdgeCache);
-  EXPECT_EQ(outcomes[0].result_bytes, KB(231));
-  EXPECT_EQ(outcomes[1].result_bytes, KB(231));
-  EXPECT_FALSE(outcomes[0].error);
-  EXPECT_FALSE(outcomes[1].error);
-  EXPECT_LT(outcomes[1].latency, outcomes[0].latency);
+  EXPECT_EQ(outcomes[0].outcome.source, ResultSource::kCloud);
+  EXPECT_EQ(outcomes[1].outcome.source, ResultSource::kEdgeCache);
+  EXPECT_EQ(outcomes[0].outcome.result_bytes, KB(231));
+  EXPECT_EQ(outcomes[1].outcome.result_bytes, KB(231));
+  EXPECT_FALSE(outcomes[0].outcome.error);
+  EXPECT_FALSE(outcomes[1].outcome.error);
+  EXPECT_LT(outcomes[1].outcome.latency, outcomes[0].outcome.latency);
 }
 
 TEST(PipelineTest, RenderHitSkipsCloudLoadAndWanTransfer) {
   const auto cond = Figure2bCondition();
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic, cond));
+  FederationPipeline pipeline(BaseConfig(OffloadMode::kCoic, cond));
   pipeline.RegisterModel(1, KB(7050));
-  pipeline.EnqueueRender(1);
-  pipeline.EnqueueRender(1);
+  pipeline.EnqueueRenderAt(0, 1);
+  pipeline.EnqueueRenderAt(0, 1);
   const auto outcomes = pipeline.Run();
   const CostModel costs;
   const Duration wan = cond.edge_cloud.TransmitTime(KB(7050));
   const Duration load = costs.CloudModelLoad(KB(7050));
-  EXPECT_LT(outcomes[1].latency + wan + load,
-            outcomes[0].latency + Duration::Millis(5));
+  EXPECT_LT(outcomes[1].outcome.latency + wan + load,
+            outcomes[0].outcome.latency + Duration::Millis(5));
 }
 
 TEST(PipelineTest, LargerModelsTakeLonger) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
+  FederationPipeline pipeline(
+      BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
   pipeline.RegisterModel(1, KB(231));
   pipeline.RegisterModel(2, KB(13072));
-  pipeline.EnqueueRender(1);
-  pipeline.EnqueueRender(2);
+  pipeline.EnqueueRenderAt(0, 1);
+  pipeline.EnqueueRenderAt(0, 2);
   const auto outcomes = pipeline.Run();
-  EXPECT_LT(outcomes[0].latency * 5, outcomes[1].latency);
+  EXPECT_LT(outcomes[0].outcome.latency * 5, outcomes[1].outcome.latency);
 }
 
 TEST(PipelineTest, RenderForUnknownModelFailsCleanly) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
+  FederationPipeline pipeline(
+      BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
   pipeline.RegisterModel(1, KB(64));
   // Corrupt digest: register then ask for a digest the cloud lacks.
-  SimPipeline other(BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
+  FederationPipeline other(
+      BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
   const auto foreign_digest = other.RegisterModel(2, KB(128));
-  pipeline.EnqueueRender(1);
+  pipeline.EnqueueRenderAt(0, 1);
   (void)pipeline.Run();
   // Directly exercise the client with a digest unknown to this cloud.
   bool finished = false;
-  pipeline.client().StartRender(99, foreign_digest,
-                                [&](RequestOutcome outcome) {
-                                  finished = true;
-                                  EXPECT_TRUE(outcome.error);
-                                });
+  pipeline.client(0, 0).StartRender(99, foreign_digest,
+                                     [&](RequestOutcome outcome) {
+                                       finished = true;
+                                       EXPECT_TRUE(outcome.error);
+                                     });
   pipeline.scheduler().Run();
   EXPECT_TRUE(finished);
 }
 
 TEST(PipelineTest, DistinctModelsCachedIndependently) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
+  FederationPipeline pipeline(
+      BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
   pipeline.RegisterModel(1, KB(64));
   pipeline.RegisterModel(2, KB(64));
-  pipeline.EnqueueRender(1);
-  pipeline.EnqueueRender(2);
-  pipeline.EnqueueRender(1);
-  pipeline.EnqueueRender(2);
+  pipeline.EnqueueRenderAt(0, 1);
+  pipeline.EnqueueRenderAt(0, 2);
+  pipeline.EnqueueRenderAt(0, 1);
+  pipeline.EnqueueRenderAt(0, 2);
   const auto outcomes = pipeline.Run();
-  EXPECT_EQ(outcomes[0].source, ResultSource::kCloud);
-  EXPECT_EQ(outcomes[1].source, ResultSource::kCloud);
-  EXPECT_EQ(outcomes[2].source, ResultSource::kEdgeCache);
-  EXPECT_EQ(outcomes[3].source, ResultSource::kEdgeCache);
+  EXPECT_EQ(outcomes[0].outcome.source, ResultSource::kCloud);
+  EXPECT_EQ(outcomes[1].outcome.source, ResultSource::kCloud);
+  EXPECT_EQ(outcomes[2].outcome.source, ResultSource::kEdgeCache);
+  EXPECT_EQ(outcomes[3].outcome.source, ResultSource::kEdgeCache);
 }
 
 // ---------------------------------------------------------------------------
@@ -260,41 +271,42 @@ TEST(PipelineTest, DistinctModelsCachedIndependently) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelineTest, PanoramaSharedFrameHits) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic));
-  pipeline.EnqueuePanorama(10, 0);
-  pipeline.EnqueuePanorama(10, 0);  // second viewer, same frame
-  pipeline.EnqueuePanorama(10, 1);  // next frame: miss
+  FederationPipeline pipeline(BaseConfig(OffloadMode::kCoic));
+  pipeline.EnqueuePanoramaAt(0, 10, 0);
+  pipeline.EnqueuePanoramaAt(0, 10, 0);  // second viewer, same frame
+  pipeline.EnqueuePanoramaAt(0, 10, 1);  // next frame: miss
   const auto outcomes = pipeline.Run();
-  EXPECT_EQ(outcomes[0].source, ResultSource::kCloud);
-  EXPECT_EQ(outcomes[1].source, ResultSource::kEdgeCache);
-  EXPECT_EQ(outcomes[2].source, ResultSource::kCloud);
-  EXPECT_LT(outcomes[1].latency, outcomes[0].latency);
+  EXPECT_EQ(outcomes[0].outcome.source, ResultSource::kCloud);
+  EXPECT_EQ(outcomes[1].outcome.source, ResultSource::kEdgeCache);
+  EXPECT_EQ(outcomes[2].outcome.source, ResultSource::kCloud);
+  EXPECT_LT(outcomes[1].outcome.latency, outcomes[0].outcome.latency);
 }
 
 TEST(PipelineTest, PanoramaFramePaddedToWireSize) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic));
-  pipeline.EnqueuePanorama(4, 2);
+  FederationPipeline pipeline(BaseConfig(OffloadMode::kCoic));
+  pipeline.EnqueuePanoramaAt(0, 4, 2);
   const auto outcomes = pipeline.Run();
   const CostModel costs;
-  EXPECT_EQ(outcomes[0].result_bytes, costs.panorama.frame_bytes);
+  EXPECT_EQ(outcomes[0].outcome.result_bytes, costs.panorama.frame_bytes);
 }
 
 TEST(PipelineTest, MixedTaskKindsShareOneCacheWithoutInterference) {
-  SimPipeline pipeline(BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
+  FederationPipeline pipeline(
+      BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
   pipeline.RegisterModel(1, KB(64));
-  pipeline.EnqueueRecognition({.scene_id = 3});
-  pipeline.EnqueueRender(1);
-  pipeline.EnqueuePanorama(7, 0);
-  pipeline.EnqueueRecognition({.scene_id = 3, .view_angle_deg = 1});
-  pipeline.EnqueueRender(1);
-  pipeline.EnqueuePanorama(7, 0);
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 3});
+  pipeline.EnqueueRenderAt(0, 1);
+  pipeline.EnqueuePanoramaAt(0, 7, 0);
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 3, .view_angle_deg = 1});
+  pipeline.EnqueueRenderAt(0, 1);
+  pipeline.EnqueuePanoramaAt(0, 7, 0);
   const auto outcomes = pipeline.Run();
   ASSERT_EQ(outcomes.size(), 6u);
-  EXPECT_EQ(outcomes[3].source, ResultSource::kEdgeCache);
-  EXPECT_EQ(outcomes[4].source, ResultSource::kEdgeCache);
-  EXPECT_EQ(outcomes[5].source, ResultSource::kEdgeCache);
-  EXPECT_EQ(pipeline.edge_cache_stats().hits, 3u);
-  EXPECT_EQ(pipeline.edge_cache_stats().misses, 3u);
+  EXPECT_EQ(outcomes[3].outcome.source, ResultSource::kEdgeCache);
+  EXPECT_EQ(outcomes[4].outcome.source, ResultSource::kEdgeCache);
+  EXPECT_EQ(outcomes[5].outcome.source, ResultSource::kEdgeCache);
+  EXPECT_EQ(pipeline.edge(0).cache().stats().hits, 3u);
+  EXPECT_EQ(pipeline.edge(0).cache().stats().misses, 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -305,15 +317,15 @@ TEST(FigureShapeTest, Fig2aMaxReductionNearPaperHeadline) {
   // At (90, 9) the hit reduction must land in the paper's regime
   // (52.28% reported; we assert 45-60%).
   const auto cond = Figure2aConditions()[0];
-  SimPipeline origin(BaseConfig(OffloadMode::kOrigin, cond));
-  origin.EnqueueRecognition({.scene_id = 3});
-  const double origin_ms = origin.Run()[0].latency.millis();
+  FederationPipeline origin(BaseConfig(OffloadMode::kOrigin, cond));
+  origin.EnqueueRecognitionAt(0, {.scene_id = 3});
+  const double origin_ms = origin.Run()[0].outcome.latency.millis();
 
-  SimPipeline coic(BaseConfig(OffloadMode::kCoic, cond));
-  coic.EnqueueRecognition({.scene_id = 3});
+  FederationPipeline coic(BaseConfig(OffloadMode::kCoic, cond));
+  coic.EnqueueRecognitionAt(0, {.scene_id = 3});
   (void)coic.Run();
-  coic.EnqueueRecognition({.scene_id = 3, .view_angle_deg = 2});
-  const double hit_ms = coic.Run()[0].latency.millis();
+  coic.EnqueueRecognitionAt(0, {.scene_id = 3, .view_angle_deg = 2});
+  const double hit_ms = coic.Run()[0].outcome.latency.millis();
 
   const double reduction = (1.0 - hit_ms / origin_ms) * 100.0;
   EXPECT_GT(reduction, 45.0);
@@ -327,14 +339,14 @@ TEST(FigureShapeTest, Fig2aMaxReductionNearPaperHeadline) {
 TEST(FigureShapeTest, Fig2aReductionShrinksWithBandwidth) {
   std::vector<double> reductions;
   for (const auto& cond : Figure2aConditions()) {
-    SimPipeline origin(BaseConfig(OffloadMode::kOrigin, cond));
-    origin.EnqueueRecognition({.scene_id = 3});
-    const double origin_ms = origin.Run()[0].latency.millis();
-    SimPipeline coic(BaseConfig(OffloadMode::kCoic, cond));
-    coic.EnqueueRecognition({.scene_id = 3});
+    FederationPipeline origin(BaseConfig(OffloadMode::kOrigin, cond));
+    origin.EnqueueRecognitionAt(0, {.scene_id = 3});
+    const double origin_ms = origin.Run()[0].outcome.latency.millis();
+    FederationPipeline coic(BaseConfig(OffloadMode::kCoic, cond));
+    coic.EnqueueRecognitionAt(0, {.scene_id = 3});
     (void)coic.Run();
-    coic.EnqueueRecognition({.scene_id = 3, .view_angle_deg = 2});
-    const double hit_ms = coic.Run()[0].latency.millis();
+    coic.EnqueueRecognitionAt(0, {.scene_id = 3, .view_angle_deg = 2});
+    const double hit_ms = coic.Run()[0].outcome.latency.millis();
     reductions.push_back(1.0 - hit_ms / origin_ms);
   }
   for (std::size_t i = 1; i < reductions.size(); ++i) {
@@ -346,17 +358,17 @@ TEST(FigureShapeTest, Fig2bMaxReductionNearPaperHeadline) {
   // Largest model: load-latency reduction in the paper's regime
   // (75.86% reported; we assert 70-82%).
   const auto cond = Figure2bCondition();
-  SimPipeline origin(BaseConfig(OffloadMode::kOrigin, cond));
+  FederationPipeline origin(BaseConfig(OffloadMode::kOrigin, cond));
   origin.RegisterModel(1, KB(15053));
-  origin.EnqueueRender(1);
-  const double origin_ms = origin.Run()[0].latency.millis();
+  origin.EnqueueRenderAt(0, 1);
+  const double origin_ms = origin.Run()[0].outcome.latency.millis();
 
-  SimPipeline coic(BaseConfig(OffloadMode::kCoic, cond));
+  FederationPipeline coic(BaseConfig(OffloadMode::kCoic, cond));
   coic.RegisterModel(1, KB(15053));
-  coic.EnqueueRender(1);
+  coic.EnqueueRenderAt(0, 1);
   (void)coic.Run();
-  coic.EnqueueRender(1);
-  const double hit_ms = coic.Run()[0].latency.millis();
+  coic.EnqueueRenderAt(0, 1);
+  const double hit_ms = coic.Run()[0].outcome.latency.millis();
 
   const double reduction = (1.0 - hit_ms / origin_ms) * 100.0;
   EXPECT_GT(reduction, 70.0);
@@ -368,20 +380,155 @@ TEST(FigureShapeTest, Fig2bMaxReductionNearPaperHeadline) {
 TEST(FigureShapeTest, Fig2bReductionGrowsWithModelSize) {
   double previous = -1;
   for (const Bytes size : {KB(231), KB(1949), KB(15053)}) {
-    SimPipeline origin(BaseConfig(OffloadMode::kOrigin, Figure2bCondition()));
+    FederationPipeline origin(
+        BaseConfig(OffloadMode::kOrigin, Figure2bCondition()));
     origin.RegisterModel(1, size);
-    origin.EnqueueRender(1);
-    const double origin_ms = origin.Run()[0].latency.millis();
-    SimPipeline coic(BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
+    origin.EnqueueRenderAt(0, 1);
+    const double origin_ms = origin.Run()[0].outcome.latency.millis();
+    FederationPipeline coic(
+        BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
     coic.RegisterModel(1, size);
-    coic.EnqueueRender(1);
+    coic.EnqueueRenderAt(0, 1);
     (void)coic.Run();
-    coic.EnqueueRender(1);
-    const double hit_ms = coic.Run()[0].latency.millis();
+    coic.EnqueueRenderAt(0, 1);
+    const double hit_ms = coic.Run()[0].outcome.latency.millis();
     const double reduction = 1.0 - hit_ms / origin_ms;
     EXPECT_GT(reduction, previous);
     previous = reduction;
   }
+}
+
+// ---------------------------------------------------------------------------
+// One-venue closed loop: pinned outcomes
+// ---------------------------------------------------------------------------
+
+struct PinnedOutcome {
+  ResultSource source;
+  std::int64_t latency_us;
+  std::int64_t client_compute_us;
+  Bytes result_bytes;
+};
+
+struct PinnedRun {
+  std::size_t condition;  ///< Index into Figure2aConditions().
+  OffloadMode mode;
+  std::uint64_t events_fired;
+  std::vector<PinnedOutcome> outcomes;
+};
+
+// Recorded from the dedicated one-venue pipeline this engine replaced:
+// the one-venue FederationPipeline must keep reproducing it exactly.
+const std::vector<PinnedRun>& PinnedRuns() {
+  static const std::vector<PinnedRun> runs = {
+      {0, OffloadMode::kCoic, 76,
+       {{ResultSource::kCloud, 1667366, 1100000, 450000},
+        {ResultSource::kCloud, 324528, 42325, 231000},
+        {ResultSource::kCloud, 2471781, 8000, 2400000},
+        {ResultSource::kCloud, 1667366, 1100000, 450000},
+        {ResultSource::kCloud, 2201920, 171175, 1949000},
+        {ResultSource::kCloud, 2471781, 8000, 2400000},
+        {ResultSource::kEdgeCache, 1146034, 1100000, 450000},
+        {ResultSource::kEdgeCache, 68868, 42325, 231000},
+        {ResultSource::kEdgeCache, 227344, 8000, 2400000},
+        {ResultSource::kEdgeCache, 1146034, 1100000, 450000},
+        {ResultSource::kEdgeCache, 350429, 171175, 1949000},
+        {ResultSource::kEdgeCache, 227344, 8000, 2400000}}},
+      {0, OffloadMode::kOrigin, 72,
+       {{ResultSource::kCloud, 2394115, 0, 450000},
+        {ResultSource::kCloud, 321528, 42325, 231000},
+        {ResultSource::kCloud, 2468781, 8000, 2400000},
+        {ResultSource::kCloud, 2394115, 0, 450000},
+        {ResultSource::kCloud, 2198920, 171175, 1949000},
+        {ResultSource::kCloud, 2468781, 8000, 2400000},
+        {ResultSource::kCloud, 2394115, 0, 450000},
+        {ResultSource::kCloud, 321528, 42325, 231000},
+        {ResultSource::kCloud, 2468781, 8000, 2400000},
+        {ResultSource::kCloud, 2394115, 0, 450000},
+        {ResultSource::kCloud, 2198920, 171175, 1949000},
+        {ResultSource::kCloud, 2468781, 8000, 2400000}}},
+      {4, OffloadMode::kCoic, 76,
+       {{ResultSource::kCloud, 1326083, 1100000, 450000},
+        {ResultSource::kCloud, 149408, 42325, 231000},
+        {ResultSource::kCloud, 653027, 8000, 2400000},
+        {ResultSource::kCloud, 1326083, 1100000, 450000},
+        {ResultSource::kCloud, 724938, 171175, 1949000},
+        {ResultSource::kCloud, 653027, 8000, 2400000},
+        {ResultSource::kEdgeCache, 1115008, 1100000, 450000},
+        {ResultSource::kEdgeCache, 52948, 42325, 231000},
+        {ResultSource::kEdgeCache, 62003, 8000, 2400000},
+        {ResultSource::kEdgeCache, 1115008, 1100000, 450000},
+        {ResultSource::kEdgeCache, 216158, 171175, 1949000},
+        {ResultSource::kEdgeCache, 62003, 8000, 2400000}}},
+      {4, OffloadMode::kOrigin, 72,
+       {{ResultSource::kCloud, 689027, 0, 450000},
+        {ResultSource::kCloud, 146408, 42325, 231000},
+        {ResultSource::kCloud, 650027, 8000, 2400000},
+        {ResultSource::kCloud, 689027, 0, 450000},
+        {ResultSource::kCloud, 721938, 171175, 1949000},
+        {ResultSource::kCloud, 650027, 8000, 2400000},
+        {ResultSource::kCloud, 689027, 0, 450000},
+        {ResultSource::kCloud, 146408, 42325, 231000},
+        {ResultSource::kCloud, 650027, 8000, 2400000},
+        {ResultSource::kCloud, 689027, 0, 450000},
+        {ResultSource::kCloud, 721938, 171175, 1949000},
+        {ResultSource::kCloud, 650027, 8000, 2400000}}},
+  };
+  return runs;
+}
+
+TEST(OneVenueGoldenTest, MixedSequenceMatchesPinnedOutcomes) {
+  for (const PinnedRun& run : PinnedRuns()) {
+    SCOPED_TRACE(::testing::Message()
+                 << "condition " << run.condition << " mode "
+                 << static_cast<int>(run.mode));
+    FederationPipeline pipeline(
+        BaseConfig(run.mode, Figure2aConditions()[run.condition]));
+    pipeline.RegisterModel(1, KB(231));
+    pipeline.RegisterModel(2, KB(1949));
+    // Two rounds over two scenes, two models and two panorama frames:
+    // the first round misses, the second repeats every object.
+    for (const double angle : {0.0, 2.0}) {
+      pipeline.EnqueueRecognitionAt(0,
+                                    {.scene_id = 3, .view_angle_deg = angle});
+      pipeline.EnqueueRenderAt(0, 1);
+      pipeline.EnqueuePanoramaAt(0, 10, 0);
+      pipeline.EnqueueRecognitionAt(0,
+                                    {.scene_id = 9, .view_angle_deg = -angle});
+      pipeline.EnqueueRenderAt(0, 2);
+      pipeline.EnqueuePanoramaAt(0, 10, 1);
+    }
+    const auto outcomes = pipeline.Run();
+    ASSERT_EQ(outcomes.size(), run.outcomes.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      const RequestOutcome& got = outcomes[i].outcome;
+      const PinnedOutcome& want = run.outcomes[i];
+      EXPECT_EQ(got.source, want.source) << "op " << i;
+      EXPECT_EQ(got.latency.micros(), want.latency_us) << "op " << i;
+      EXPECT_EQ(got.client_compute.micros(), want.client_compute_us)
+          << "op " << i;
+      EXPECT_EQ(got.result_bytes, want.result_bytes) << "op " << i;
+      EXPECT_FALSE(got.error) << "op " << i;
+    }
+    EXPECT_EQ(pipeline.scheduler().total_fired(), run.events_fired);
+  }
+}
+
+using OneVenueDeathTest = ::testing::Test;
+
+TEST(OneVenueDeathTest, StrandedLastRequestAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        FederationPipeline pipeline(
+            BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
+        pipeline.RegisterModel(1, KB(64));
+        pipeline.network()
+            .LinkBetween(pipeline.edge_node(0), pipeline.cloud_node())
+            .ForceDropNext(1);
+        pipeline.EnqueueRenderAt(0, 1);
+        (void)pipeline.Run();
+      },
+      "awaiting reply at clients");
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 // whole-system invariants rather than per-module units.
 //
 // Every test here wires the full stack together (CoicClient + EdgeService
-// + CloudService over the netsim topology, driven by SimPipeline or
-// CoopPipeline, fed by trace::WorkloadGenerator) and asserts a
+// + CloudService over the netsim topology, driven by a one-venue or
+// multi-venue FederationPipeline, fed by trace::WorkloadGenerator) and
+// asserts a
 // paper-shaped property:
 //   * offloading over a fast link beats on-device compute, and gets
 //     faster as the link gets faster;
@@ -22,10 +23,8 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "core/coop_pipeline.h"
 #include "core/cost_model.h"
 #include "core/metrics.h"
-#include "core/sim_pipeline.h"
 #include "federation/federation_pipeline.h"
 #include "federation/summary.h"
 #include "netsim/chaos.h"
@@ -37,13 +36,11 @@
 namespace coic {
 namespace {
 
-using core::CoopPipeline;
-using core::CoopPipelineConfig;
 using core::NetworkCondition;
-using core::PipelineConfig;
 using core::QoeAggregator;
-using core::RequestOutcome;
-using core::SimPipeline;
+using federation::FederationOutcome;
+using federation::FederationPipeline;
+using federation::FederationPipelineConfig;
 using proto::OffloadMode;
 using proto::ResultSource;
 
@@ -51,8 +48,10 @@ using proto::ResultSource;
 const NetworkCondition kSlowCondition{Bandwidth::Mbps(90), Bandwidth::Mbps(9)};
 const NetworkCondition kFastCondition{Bandwidth::Mbps(400), Bandwidth::Mbps(40)};
 
-PipelineConfig ConfigFor(OffloadMode mode, const NetworkCondition& cond) {
-  PipelineConfig config;
+FederationPipelineConfig ConfigFor(OffloadMode mode,
+                                   const NetworkCondition& cond) {
+  FederationPipelineConfig config;
+  config.venues = 1;
   config.mode = mode;
   config.network = cond;
   return config;
@@ -64,16 +63,19 @@ PipelineConfig ConfigFor(OffloadMode mode, const NetworkCondition& cond) {
 /// warm-hit series.
 double MeanRecognitionMs(OffloadMode mode, const NetworkCondition& cond,
                          int repeats, bool skip_cold) {
-  SimPipeline pipeline(ConfigFor(mode, cond));
-  pipeline.EnqueueRecognition({.scene_id = 3});
+  FederationPipeline pipeline(ConfigFor(mode, cond));
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 3});
   const auto cold = pipeline.Run();
   QoeAggregator agg;
-  if (!skip_cold) agg.AddAll(cold);
-  for (int i = 0; i < repeats; ++i) {
-    pipeline.EnqueueRecognition(
-        {.scene_id = 3, .view_angle_deg = static_cast<double>(i - repeats / 2)});
+  if (!skip_cold) {
+    for (const auto& o : cold) agg.Add(o.outcome);
   }
-  agg.AddAll(pipeline.Run());
+  for (int i = 0; i < repeats; ++i) {
+    pipeline.EnqueueRecognitionAt(
+        0, {.scene_id = 3,
+            .view_angle_deg = static_cast<double>(i - repeats / 2)});
+  }
+  for (const auto& o : pipeline.Run()) agg.Add(o.outcome);
   return agg.MeanLatencyMs();
 }
 
@@ -130,12 +132,12 @@ TEST(E2eRecognition, CacheHitCutsLatencyVsOriginWhenConstrained) {
 // ---------------------------------------------------------------------------
 
 /// Replays `records` and returns the cache hit-rate over just that batch.
-double BatchHitRate(SimPipeline& pipeline,
+double BatchHitRate(FederationPipeline& pipeline,
                     const std::vector<trace::TraceRecord>& records) {
-  const auto before = pipeline.edge_cache_stats();
-  for (const auto& rec : records) pipeline.EnqueueRecognition(rec.scene);
+  const auto before = pipeline.edge(0).cache().stats();
+  for (const auto& rec : records) pipeline.EnqueueRecognitionAt(0, rec.scene);
   pipeline.Run();
-  const auto after = pipeline.edge_cache_stats();
+  const auto after = pipeline.edge(0).cache().stats();
   const auto hits = after.hits - before.hits;
   const auto misses = after.misses - before.misses;
   return hits + misses == 0
@@ -160,9 +162,10 @@ TEST(E2eRedundancy, HitRateRisesAcrossSimilarContexts) {
   const std::vector<trace::TraceRecord> second(records.begin() + 60,
                                                records.end());
 
-  PipelineConfig config = ConfigFor(OffloadMode::kCoic, kFastCondition);
+  FederationPipelineConfig config =
+      ConfigFor(OffloadMode::kCoic, kFastCondition);
   config.recognition_classes = 64;
-  SimPipeline pipeline(config);
+  FederationPipeline pipeline(config);
   const double cold_half = BatchHitRate(pipeline, first);
   const double warm_half = BatchHitRate(pipeline, second);
   EXPECT_GT(warm_half, cold_half);
@@ -176,9 +179,10 @@ TEST(E2eRedundancy, ColocatedUsersOutHitDispersedUsers) {
     workload.objects = 16;
     workload.colocated_fraction = colocated_fraction;
     trace::WorkloadGenerator gen(workload);
-    PipelineConfig config = ConfigFor(OffloadMode::kCoic, kFastCondition);
+    FederationPipelineConfig config =
+      ConfigFor(OffloadMode::kCoic, kFastCondition);
     config.recognition_classes = 64;
-    SimPipeline pipeline(config);
+    FederationPipeline pipeline(config);
     return BatchHitRate(pipeline, gen.GenerateRecognition(100));
   };
   EXPECT_GT(hit_rate_at(1.0), hit_rate_at(0.0) + 0.2);
@@ -191,25 +195,26 @@ TEST(E2eRedundancy, ColocatedUsersOutHitDispersedUsers) {
 // Figure 2b: the second user to load a shared 3D model gets it from the
 // edge cache, skipping the WAN transfer and the cloud-side load.
 TEST(E2eRender, ModelLoadSharedAcrossUsers) {
-  SimPipeline pipeline(ConfigFor(OffloadMode::kCoic, kFastCondition));
+  FederationPipeline pipeline(ConfigFor(OffloadMode::kCoic, kFastCondition));
   pipeline.RegisterModel(7, Bytes{15'053'000});  // Figure 2b's largest asset
-  pipeline.EnqueueRender(7);
-  pipeline.EnqueueRender(7);
+  pipeline.EnqueueRenderAt(0, 7);
+  pipeline.EnqueueRenderAt(0, 7);
   const auto outcomes = pipeline.Run();
   ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0].source, ResultSource::kCloud);
-  EXPECT_EQ(outcomes[1].source, ResultSource::kEdgeCache);
-  EXPECT_FALSE(outcomes[1].error);
+  EXPECT_EQ(outcomes[0].outcome.source, ResultSource::kCloud);
+  EXPECT_EQ(outcomes[1].outcome.source, ResultSource::kEdgeCache);
+  EXPECT_FALSE(outcomes[1].outcome.error);
   // The warm load must save at least the WAN leg: well under half.
-  EXPECT_LT(outcomes[1].latency.millis(), 0.5 * outcomes[0].latency.millis());
+  EXPECT_LT(outcomes[1].outcome.latency.millis(),
+            0.5 * outcomes[0].outcome.latency.millis());
 }
 
 /// Streams `frames` panorama frames through `pipeline` and returns
 /// per-frame outcomes.
-std::vector<RequestOutcome> StreamPanorama(SimPipeline& pipeline,
-                                           std::uint32_t frames) {
+std::vector<FederationOutcome> StreamPanorama(FederationPipeline& pipeline,
+                                              std::uint32_t frames) {
   for (std::uint32_t f = 0; f < frames; ++f) {
-    pipeline.EnqueuePanorama(/*video_id=*/42, f);
+    pipeline.EnqueuePanoramaAt(0, /*video_id=*/42, f);
   }
   return pipeline.Run();
 }
@@ -229,20 +234,20 @@ double WarmFrameBudgetMs(const core::CostModel& costs, Bandwidth wifi) {
 // from the edge cache and every frame lands inside the analytic frame
 // budget — while the first (cold, cloud-rendered) pass cannot meet it.
 TEST(E2ePanorama, WarmStreamStaysWithinFrameBudget) {
-  SimPipeline pipeline(ConfigFor(OffloadMode::kCoic, kFastCondition));
+  FederationPipeline pipeline(ConfigFor(OffloadMode::kCoic, kFastCondition));
   const auto cold = StreamPanorama(pipeline, 12);   // first viewer
   const auto warm = StreamPanorama(pipeline, 12);   // second viewer, same video
   const double budget_ms =
       WarmFrameBudgetMs(core::CostModel{}, kFastCondition.mobile_edge);
 
   for (const auto& frame : warm) {
-    EXPECT_FALSE(frame.error);
-    EXPECT_EQ(frame.source, ResultSource::kEdgeCache);
-    EXPECT_LT(frame.latency.millis(), budget_ms);
+    EXPECT_FALSE(frame.outcome.error);
+    EXPECT_EQ(frame.outcome.source, ResultSource::kEdgeCache);
+    EXPECT_LT(frame.outcome.latency.millis(), budget_ms);
   }
   QoeAggregator cold_agg, warm_agg;
-  cold_agg.AddAll(cold);
-  warm_agg.AddAll(warm);
+  for (const auto& o : cold) cold_agg.Add(o.outcome);
+  for (const auto& o : warm) warm_agg.Add(o.outcome);
   EXPECT_GT(cold_agg.MeanLatencyMs(), budget_ms);
   EXPECT_LT(3 * warm_agg.MeanLatencyMs(), cold_agg.MeanLatencyMs());
 }
@@ -251,33 +256,32 @@ TEST(E2ePanorama, WarmStreamStaysWithinFrameBudget) {
 // the frame budget smoothly — latency scales with bandwidth, nothing
 // errors and nothing is dropped.
 TEST(E2ePanorama, ShapedLinkDegradesWarmStreamGracefully) {
-  SimPipeline pipeline(ConfigFor(OffloadMode::kCoic, kFastCondition));
+  FederationPipeline pipeline(ConfigFor(OffloadMode::kCoic, kFastCondition));
   StreamPanorama(pipeline, 8);  // warm the cache
   const double budget_ms =
       WarmFrameBudgetMs(core::CostModel{}, kFastCondition.mobile_edge);
 
-  // SimPipeline adds nodes in mobile, edge, cloud order; shape the
-  // downlink that carries the frames (edge -> mobile).
-  const netsim::NodeId mobile = 0, edge = 1;
-  netsim::Link& downlink = pipeline.network().LinkBetween(edge, mobile);
+  // Shape the downlink that carries the frames (edge -> mobile).
+  netsim::Link& downlink = pipeline.network().LinkBetween(
+      pipeline.edge_node(0), pipeline.mobile_node(0, 0));
 
   downlink.SetBandwidth(Bandwidth::Mbps(300));
   const auto shaped_ok = StreamPanorama(pipeline, 8);
   for (const auto& frame : shaped_ok) {
-    EXPECT_FALSE(frame.error);
-    EXPECT_LT(frame.latency.millis(),
+    EXPECT_FALSE(frame.outcome.error);
+    EXPECT_LT(frame.outcome.latency.millis(),
               WarmFrameBudgetMs(core::CostModel{}, Bandwidth::Mbps(300)));
   }
 
   downlink.SetBandwidth(Bandwidth::Mbps(50));
   const auto shaped_slow = StreamPanorama(pipeline, 8);
   for (const auto& frame : shaped_slow) {
-    EXPECT_FALSE(frame.error);
-    EXPECT_EQ(frame.source, ResultSource::kEdgeCache);
+    EXPECT_FALSE(frame.outcome.error);
+    EXPECT_EQ(frame.outcome.source, ResultSource::kEdgeCache);
     // The budget is no longer met, but the stream still flows at the
     // shaped rate instead of collapsing.
-    EXPECT_GT(frame.latency.millis(), budget_ms);
-    EXPECT_LT(frame.latency.millis(), 10 * budget_ms);
+    EXPECT_GT(frame.outcome.latency.millis(), budget_ms);
+    EXPECT_LT(frame.outcome.latency.millis(), 10 * budget_ms);
   }
   EXPECT_EQ(downlink.stats().frames_dropped_queue, 0u);
   EXPECT_EQ(downlink.stats().frames_dropped_loss, 0u);
@@ -293,10 +297,14 @@ TEST(E2ePanorama, ShapedLinkDegradesWarmStreamGracefully) {
 // it as a (peer) hit.
 TEST(E2eCooperative, PeerEdgeServesNeighborMissFasterThanCloud) {
   auto venue1_latency = [](bool cooperative) {
-    CoopPipelineConfig config;
+    // Two venues; a miss probes the one peer, and no summaries gossip.
+    FederationPipelineConfig config;
+    config.venues = 2;
+    config.policy.kind = federation::PeerSelectKind::kBroadcastAll;
+    config.gossip_period = Duration::Infinite();
     config.cooperative = cooperative;
     config.network = kSlowCondition;  // expensive WAN: cooperation matters
-    CoopPipeline pipeline(config);
+    FederationPipeline pipeline(config);
     pipeline.EnqueueRecognitionAt(0, {.scene_id = 5});
     pipeline.EnqueueRecognitionAt(1, {.scene_id = 5, .view_angle_deg = 2});
     const auto outcomes = pipeline.Run();
@@ -365,33 +373,35 @@ TEST(E2eContention, SharedUplinkDegradesLinearly) {
 // ---------------------------------------------------------------------------
 
 /// Replays a mixed trace through `pipeline` (models must be registered).
-std::vector<RequestOutcome> ReplayMixed(
-    SimPipeline& pipeline, const std::vector<trace::TraceRecord>& records) {
+std::vector<FederationOutcome> ReplayMixed(
+    FederationPipeline& pipeline,
+    const std::vector<trace::TraceRecord>& records) {
   for (const auto& rec : records) {
     switch (rec.type) {
       case trace::IcTaskType::kRecognition:
-        pipeline.EnqueueRecognition(rec.scene);
+        pipeline.EnqueueRecognitionAt(0, rec.scene);
         break;
       case trace::IcTaskType::kRender:
-        pipeline.EnqueueRender(rec.model_id);
+        pipeline.EnqueueRenderAt(0, rec.model_id);
         break;
       case trace::IcTaskType::kPanorama:
-        pipeline.EnqueuePanorama(rec.video_id, rec.frame_index);
+        pipeline.EnqueuePanoramaAt(0, rec.video_id, rec.frame_index);
         break;
     }
   }
   return pipeline.Run();
 }
 
-PipelineConfig MixedTraceConfig() {
-  PipelineConfig config = ConfigFor(OffloadMode::kCoic, kFastCondition);
+FederationPipelineConfig MixedTraceConfig() {
+  FederationPipelineConfig config =
+      ConfigFor(OffloadMode::kCoic, kFastCondition);
   config.recognition_classes = 64;
   return config;
 }
 
 const std::vector<std::uint64_t> kMixedModels{101, 102, 103};
 
-void RegisterMixedModels(SimPipeline& pipeline) {
+void RegisterMixedModels(FederationPipeline& pipeline) {
   Bytes size = 2'000'000;
   for (const auto id : kMixedModels) {
     pipeline.RegisterModel(id, size);
@@ -411,16 +421,16 @@ TEST(E2eTrace, MixedSessionCompletesAndHarvestsRedundancy) {
   const auto records =
       gen.GenerateMixed(90, kMixedModels, /*video_id=*/42);
 
-  SimPipeline pipeline(MixedTraceConfig());
+  FederationPipeline pipeline(MixedTraceConfig());
   RegisterMixedModels(pipeline);
   const auto outcomes = ReplayMixed(pipeline, records);
 
   ASSERT_EQ(outcomes.size(), records.size());
   QoeAggregator agg;
-  agg.AddAll(outcomes);
+  for (const auto& o : outcomes) agg.Add(o.outcome);
   EXPECT_EQ(agg.errors(), 0u);
   EXPECT_GT(agg.HitRate(), 0.3);  // redundancy must be harvested
-  EXPECT_GT(pipeline.edge_cache_stats().insertions, 0u);
+  EXPECT_GT(pipeline.edge(0).cache().stats().insertions, 0u);
 }
 
 // Record/replay integrity: a serialized trace deserializes to records
@@ -437,18 +447,19 @@ TEST(E2eTrace, SerializedTraceReplaysIdentically) {
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded.value().size(), records.size());
 
-  SimPipeline original(MixedTraceConfig());
+  FederationPipeline original(MixedTraceConfig());
   RegisterMixedModels(original);
-  SimPipeline replayed(MixedTraceConfig());
+  FederationPipeline replayed(MixedTraceConfig());
   RegisterMixedModels(replayed);
   const auto a = ReplayMixed(original, records);
   const auto b = ReplayMixed(replayed, decoded.value());
 
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].source, b[i].source) << "request " << i;
-    EXPECT_EQ(a[i].task, b[i].task) << "request " << i;
-    EXPECT_DOUBLE_EQ(a[i].latency.millis(), b[i].latency.millis())
+    EXPECT_EQ(a[i].outcome.source, b[i].outcome.source) << "request " << i;
+    EXPECT_EQ(a[i].outcome.task, b[i].outcome.task) << "request " << i;
+    EXPECT_DOUBLE_EQ(a[i].outcome.latency.millis(),
+                     b[i].outcome.latency.millis())
         << "request " << i;
   }
 }
@@ -464,14 +475,14 @@ TEST(E2eTrace, TinyCacheDegradesGracefullyUnderBytePressure) {
 
   auto run_with_capacity = [&](Bytes capacity) {
     trace::WorkloadGenerator gen(workload);
-    PipelineConfig config = MixedTraceConfig();
+    FederationPipelineConfig config = MixedTraceConfig();
     config.cache.capacity_bytes = capacity;
-    SimPipeline pipeline(config);
+    FederationPipeline pipeline(config);
     QoeAggregator agg;
     for (const auto& rec : gen.GenerateRecognition(80)) {
-      pipeline.EnqueueRecognition(rec.scene);
+      pipeline.EnqueueRecognitionAt(0, rec.scene);
     }
-    agg.AddAll(pipeline.Run());
+    for (const auto& o : pipeline.Run()) agg.Add(o.outcome);
     EXPECT_EQ(agg.errors(), 0u);
     return agg;
   };

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/prefetcher.h"
-#include "core/sim_pipeline.h"
+#include "federation/federation_pipeline.h"
 #include "proto/messages.h"
 #include "vision/tracking.h"
 
@@ -151,10 +151,11 @@ TEST(PopularityTest, CompactDropsColdKeys) {
 TEST(PrefetcherTest, WarmUpConvertsFirstRequestToHit) {
   // The cloud holds a model; the tracker knows it is popular; after
   // WarmUp, the pipeline's FIRST render request is an edge hit.
-  core::PipelineConfig config;
+  federation::FederationPipelineConfig config;
+  config.venues = 1;
   config.mode = proto::OffloadMode::kCoic;
   config.network = core::Figure2bCondition();
-  core::SimPipeline pipeline(config);
+  federation::FederationPipeline pipeline(config);
   const Digest128 digest = pipeline.RegisterModel(1, KB(512));
 
   core::PopularityTracker popularity;
@@ -176,14 +177,14 @@ TEST(PrefetcherTest, WarmUpConvertsFirstRequestToHit) {
             w.TakeBytes()};
       });
 
-  EXPECT_EQ(prefetcher.WarmUp(pipeline.edge().mutable_cache(), 4,
+  EXPECT_EQ(prefetcher.WarmUp(pipeline.edge(0).mutable_cache(), 4,
                               SimTime::Epoch()),
             1u);
-  pipeline.EnqueueRender(1);
+  pipeline.EnqueueRenderAt(0, 1);
   const auto outcomes = pipeline.Run();
-  EXPECT_EQ(outcomes[0].source, proto::ResultSource::kEdgeCache);
-  EXPECT_FALSE(outcomes[0].error);
-  EXPECT_EQ(outcomes[0].result_bytes, KB(512));
+  EXPECT_EQ(outcomes[0].outcome.source, proto::ResultSource::kEdgeCache);
+  EXPECT_FALSE(outcomes[0].outcome.error);
+  EXPECT_EQ(outcomes[0].outcome.result_bytes, KB(512));
 }
 
 TEST(PrefetcherTest, FetchFailuresSkippedNotFatal) {
