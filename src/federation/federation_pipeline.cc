@@ -1304,86 +1304,38 @@ bool FederationPipeline::MaybeForwardProbeAsHead(std::uint32_t venue,
 }
 
 void FederationPipeline::MaybeGossip() {
-  // Closed-loop only (single shard): shard 0's clock is the clock.
-  if (!GossipEnabled()) return;
-  if (shards_.front()->sched.now() < next_gossip_) return;
-  next_gossip_ = shards_.front()->sched.now() + config_.gossip_period;
-  for (std::uint32_t v = 0; v < config_.venues; ++v) GossipEdge(v);
-}
-
-void FederationPipeline::ArmGossipTimer() {
-  // One batched timer for the whole (single-shard) cluster, gossiping
-  // venues in ascending order each period. N per-venue timers armed in
-  // venue order fired in exactly that order at the same instants, so the
-  // batch is bit-identical to them at 1/N the scheduler events.
+  // Closed loop only (single shard): shard 0's clock is the clock.
   ShardState& sh = *shards_.front();
-  gossip_timers_[0] = sh.sched.ScheduleAfter(config_.gossip_period, [this] {
-    ShardState& sh = *shards_.front();
-    // Stranded-workload guard: a dropped frame (lossy link, overflowing
-    // queue) parks its client forever, and without it the timer would
-    // re-arm and spin the scheduler for eternity. Two triggers, either
-    // sufficient: (a) precise — nothing else is pending inside this
-    // firing, so nothing can complete; (b) backstop for configs where
-    // in-flight summary frames always overlap the next round
-    // (gossip_period below peer-link latency) — no completion across a
-    // deep stretch of rounds. Stopping lets RunOpenLoop drain and
-    // report the stall via its completion CHECK instead of hanging.
-    // (Sharded runs use ArmGossipTimerSharded; the runner detects
-    // stalls itself.)
-    constexpr std::uint64_t kStallRoundsLimit = 100'000;
-    if (sh.completed == stall_completed_mark_) {
-      ++stall_rounds_;
-    } else {
-      stall_completed_mark_ = sh.completed;
-      stall_rounds_ = 0;
-    }
-    if (sh.completed < expected_ &&
-        (sh.sched.pending() == 0 || stall_rounds_ >= kStallRoundsLimit)) {
-      COIC_LOG(kWarn) << "federation: open-loop workload stalled with "
-                      << (expected_ - sh.completed)
-                      << " operations incomplete; stopping gossip";
-      StopGossipTimers();
-      return;
-    }
-    for (std::uint32_t v = 0; v < config_.venues; ++v) {
-      ++open_loop_.gossip_rounds;  // still counts per-edge firings
-      GossipEdge(v);
-    }
-    ArmGossipTimer();
-  });
-}
-
-void FederationPipeline::StopGossipTimers() {
-  for (const netsim::EventId id : gossip_timers_) {
-    if (id != 0) shards_.front()->sched.Cancel(id);
+  if (!GossipEnabled() || sh.sched.now() < next_gossip_) return;
+  next_gossip_ = sh.sched.now() + config_.gossip_period;
+  for (std::uint32_t v = 0; v < config_.venues; ++v) {
+    ++sh.gossip_rounds;
+    GossipEdge(v);
   }
-  gossip_timers_.clear();
 }
 
-void FederationPipeline::ArmGossipTimerSharded(std::uint32_t shard) {
+void FederationPipeline::ArmGossipTimer(std::uint32_t shard) {
   // Free-running batched timer per shard, gossiping the shard's venues
-  // (ascending — the order their per-venue timers fired in) on the
-  // shard's own clock. No stall bookkeeping here: the ShardRunner's
-  // decide barrier detects cluster-wide stalls (idle-floor match or
-  // no-progress backstop) and quiesces through StopGossipTimersShard.
-  ShardState& sh = *shards_[shard];
+  // in ascending order on the shard's own clock: the order N per-venue
+  // timers armed in venue order fired in, at 1/N the scheduler events.
+  // No stall bookkeeping: the ShardRunner detects stalls (idle-floor
+  // match or no-progress backstop) and quiesces through StopGossipTimer.
   gossip_timers_[shard] =
-      sh.sched.ScheduleAfter(config_.gossip_period, [this, shard] {
+      shards_[shard]->sched.ScheduleAfter(config_.gossip_period, [this, shard] {
         ShardState& sh = *shards_[shard];
         for (const std::uint32_t v : sh.venues) {
           ++sh.gossip_rounds;
           GossipEdge(v);
         }
-        ArmGossipTimerSharded(shard);
+        ArmGossipTimer(shard);
       });
 }
 
-void FederationPipeline::StopGossipTimersShard(std::uint32_t shard) {
-  if (gossip_timers_.empty()) return;  // never armed (expected_ == 0)
-  if (gossip_timers_[shard] != 0) {
-    shards_[shard]->sched.Cancel(gossip_timers_[shard]);
-    gossip_timers_[shard] = 0;
-  }
+void FederationPipeline::StopGossipTimer(std::uint32_t shard) {
+  // Empty when never armed (closed loop, gossip off, no operations).
+  if (gossip_timers_.empty() || gossip_timers_[shard] == 0) return;
+  shards_[shard]->sched.Cancel(gossip_timers_[shard]);
+  gossip_timers_[shard] = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -1694,12 +1646,24 @@ void FederationPipeline::IssueNext() {
   MaybeGossip();
   Op op = std::move(ops_.front());
   ops_.pop_front();
+  Issue(std::move(op), /*closed_loop=*/true);
+}
+
+void FederationPipeline::Issue(Op op, bool closed_loop) {
   const std::uint32_t venue = op.venue;
-  op.start([this, venue](core::RequestOutcome outcome) {
-    ShardState& sh = *shards_.front();
+  ShardState& sh = ShardOf(venue);
+  ++sh.inflight;
+  sh.max_inflight = std::max(sh.max_inflight, sh.inflight);
+  op.start([this, &sh, venue, closed_loop](core::RequestOutcome outcome) {
     sh.outcomes.push_back({venue, std::move(outcome), sh.sched.now()});
+    --sh.inflight;
     ++sh.completed;
-    IssueNext();
+    sh.last_completion = sh.sched.now();
+    // A shard that finished the whole run stops gossiping at once, not
+    // at the runner's next barrier: one shard drains exactly at its
+    // last completion.
+    if (sh.completed == expected_) StopGossipTimer(ShardIndexOf(venue));
+    if (closed_loop) IssueNext();
   });
 }
 
@@ -1707,19 +1671,11 @@ std::vector<FederationOutcome> FederationPipeline::Run() {
   COIC_CHECK_MSG(shards_.size() == 1,
                  "closed-loop Run is one-request-at-a-time by definition; "
                  "sharded pipelines must use RunOpenLoop");
-  ShardState& sh = *shards_.front();
-  sh.outcomes.clear();
-  expected_ = ops_.size();
-  sh.completed = 0;
-  IssueNext();
-  sh.sched.Run();
-  // A request whose frame was lost strands the loop: nothing issues the
-  // ops behind it, and the last op's outcome would simply be missing.
-  for (const auto& client : clients_) {
-    COIC_CHECK_MSG(client->inflight() == 0, StrandedDiagnostic());
-  }
-  COIC_CHECK_MSG(ops_.empty(), "pipeline drained with operations unissued");
-  return std::move(sh.outcomes);
+  return RunLoop(/*closed_loop=*/true);
+}
+
+std::vector<FederationOutcome> FederationPipeline::RunOpenLoop() {
+  return RunLoop(/*closed_loop=*/false);
 }
 
 std::string FederationPipeline::StrandedDiagnostic() const {
@@ -1770,74 +1726,6 @@ std::string FederationPipeline::StrandedDiagnostic() const {
   return msg;
 }
 
-std::vector<FederationOutcome> FederationPipeline::RunOpenLoop() {
-  if (shards_.size() > 1) return RunOpenLoopSharded();
-  ShardState& sh = *shards_.front();
-  sh.outcomes.clear();
-  open_loop_ = OpenLoopStats{};
-  open_loop_.operations = ops_.size();
-  open_loop_.first_arrival = sh.sched.now();
-  open_loop_.last_completion = sh.sched.now();
-  sh.outcomes.reserve(ops_.size());
-  expected_ = ops_.size();
-  sh.completed = 0;
-  sh.inflight = 0;
-  sh.max_inflight = 0;
-  stall_completed_mark_ = 0;
-  stall_rounds_ = 0;
-  const std::uint64_t fired_before = sh.sched.total_fired();
-
-  if (GossipEnabled() && expected_ > 0) {
-    // Round 0 at the start mirrors the closed loop's gossip-before-first-
-    // op; afterwards each edge refreshes on its own free-running timer,
-    // decoupled from operation progress.
-    for (std::uint32_t v = 0; v < config_.venues; ++v) {
-      ++open_loop_.gossip_rounds;
-      GossipEdge(v);
-    }
-    gossip_timers_.assign(1, 0);
-    ArmGossipTimer();
-  }
-
-  // Schedule every operation at its trace arrival time — the open-loop
-  // regime: arrivals do not wait for completions, so queueing and
-  // probe/link contention show up exactly as offered load dictates.
-  bool first_set = false;
-  while (!ops_.empty()) {
-    Op op = std::move(ops_.front());
-    ops_.pop_front();
-    const SimTime at = std::max(op.at, sh.sched.now());
-    if (!first_set || at < open_loop_.first_arrival) {
-      open_loop_.first_arrival = at;
-      first_set = true;
-    }
-    sh.sched.ScheduleAt(at, [this, &sh, op = std::move(op)]() mutable {
-      ++sh.inflight;
-      open_loop_.max_inflight =
-          std::max(open_loop_.max_inflight, sh.inflight);
-      const std::uint32_t venue = op.venue;
-      op.start([this, &sh, venue](core::RequestOutcome outcome) {
-        sh.outcomes.push_back({venue, std::move(outcome), sh.sched.now()});
-        --sh.inflight;
-        ++sh.completed;
-        open_loop_.last_completion = sh.sched.now();
-        if (sh.completed == expected_) {
-          // Drain condition: the workload is done, so the free-running
-          // timers stop re-arming and the scheduler empties.
-          StopGossipTimers();
-        }
-      });
-    });
-  }
-
-  sh.sched.Run();
-  StopGossipTimers();  // expected_ == 0: timers were never armed; no-op
-  COIC_CHECK_MSG(sh.completed == expected_, StrandedDiagnostic());
-  open_loop_.events_fired = sh.sched.total_fired() - fired_before;
-  open_loop_.per_worker_events_fired = {open_loop_.events_fired};
-  return std::move(sh.outcomes);
-}
-
 Duration FederationPipeline::CrossShardLookahead() const {
   // The conservative window: the smallest propagation delay on any link
   // whose endpoints are owned by different shards. Wifi links never
@@ -1865,13 +1753,11 @@ Duration FederationPipeline::CrossShardLookahead() const {
   return Duration::Micros(lookahead);
 }
 
-std::vector<FederationOutcome> FederationPipeline::RunOpenLoopSharded() {
+std::vector<FederationOutcome> FederationPipeline::RunLoop(bool closed_loop) {
   const std::size_t shard_total = shards_.size();
   open_loop_ = OpenLoopStats{};
   open_loop_.operations = ops_.size();
   expected_ = ops_.size();
-  stall_completed_mark_ = 0;
-  stall_rounds_ = 0;
   std::vector<std::uint64_t> fired_before(shard_total);
   for (std::size_t s = 0; s < shard_total; ++s) {
     ShardState& sh = *shards_[s];
@@ -1886,27 +1772,32 @@ std::vector<FederationOutcome> FederationPipeline::RunOpenLoopSharded() {
   open_loop_.first_arrival = shards_.front()->sched.now();
   open_loop_.last_completion = open_loop_.first_arrival;
 
-  if (GossipEnabled() && expected_ > 0) {
-    // Round 0 runs as the first event on each shard, gossiping its
-    // venues ascending (the single-thread engine runs it inline before
-    // the first op — same relative order, since op events scheduled
-    // later at the same instant fire after it).
+  if (closed_loop) {
+    // One request at a time: each completion issues the next op, with
+    // gossip rounds driven between ops (IssueNext/MaybeGossip).
+    IssueNext();
+  } else if (GossipEnabled() && expected_ > 0) {
+    // Round 0 runs as the first event on each shard, at the shard's own
+    // clock, gossiping its venues ascending; op events scheduled at the
+    // same instant fire after it.
     gossip_timers_.assign(shard_total, 0);
     for (std::uint32_t s = 0; s < shard_total; ++s) {
-      if (shards_[s]->venues.empty()) continue;
-      shards_[s]->sched.ScheduleAt(SimTime::Epoch(), [this, s] {
+      ShardState& sh = *shards_[s];
+      sh.sched.ScheduleAt(sh.sched.now(), [this, s] {
         ShardState& sh = *shards_[s];
         for (const std::uint32_t v : sh.venues) {
           ++sh.gossip_rounds;
           GossipEdge(v);
         }
-        ArmGossipTimerSharded(s);
+        ArmGossipTimer(s);
       });
     }
   }
-
+  // Open loop: every operation at its trace arrival time. Arrivals do
+  // not wait for completions, so queueing and probe/link contention show
+  // up exactly as offered load dictates.
   bool first_set = false;
-  while (!ops_.empty()) {
+  while (!closed_loop && !ops_.empty()) {
     Op op = std::move(ops_.front());
     ops_.pop_front();
     ShardState& sh = ShardOf(op.venue);
@@ -1915,16 +1806,8 @@ std::vector<FederationOutcome> FederationPipeline::RunOpenLoopSharded() {
       open_loop_.first_arrival = at;
       first_set = true;
     }
-    sh.sched.ScheduleAt(at, [this, &sh, op = std::move(op)]() mutable {
-      ++sh.inflight;
-      sh.max_inflight = std::max(sh.max_inflight, sh.inflight);
-      const std::uint32_t venue = op.venue;
-      op.start([&sh, venue](core::RequestOutcome outcome) {
-        sh.outcomes.push_back({venue, std::move(outcome), sh.sched.now()});
-        --sh.inflight;
-        ++sh.completed;
-        sh.last_completion = sh.sched.now();
-      });
+    sh.sched.ScheduleAt(at, [this, op = std::move(op)]() mutable {
+      Issue(std::move(op), /*closed_loop=*/false);
     });
   }
 
@@ -1960,13 +1843,20 @@ std::vector<FederationOutcome> FederationPipeline::RunOpenLoopSharded() {
       return std::uint64_t{gossip_timers_[s] != 0 ? 1u : 0u};
     };
     hooks[s].quiesce = [this, s] {
-      StopGossipTimersShard(static_cast<std::uint32_t>(s));
+      StopGossipTimer(static_cast<std::uint32_t>(s));
     };
   }
 
   netsim::ShardRunnerConfig runner_config;
-  runner_config.window = deterministic ? CrossShardLookahead()
-                                       : config_.execution.fast_window;
+  if (shard_total == 1) {
+    // No cross-shard link, so the window only paces the runner's
+    // completion and stall checks: one gossip period, or a second.
+    runner_config.window =
+        GossipEnabled() ? config_.gossip_period : Duration::Seconds(1);
+  } else {
+    runner_config.window = deterministic ? CrossShardLookahead()
+                                         : config_.execution.fast_window;
+  }
   runner_config.expected_completions = expected_;
 
   netsim::ShardRunner runner(runner_config, std::move(hooks));
@@ -2000,10 +1890,12 @@ std::vector<FederationOutcome> FederationPipeline::RunOpenLoopSharded() {
                   std::make_move_iterator(sh.outcomes.end()));
     sh.outcomes.clear();
   }
-  // Canonical completion order: per-shard streams are each in completion
-  // order already; interleave them on (completed_at, venue). Venue
-  // breaks ties deterministically because any one venue's outcomes come
-  // from a single shard (stable_sort keeps their relative order).
+  // The closed loop's single stream is already in issue order. Open
+  // loop: per-shard streams are each in completion order; interleave
+  // them on (completed_at, venue) at every shard count. Venue breaks
+  // ties deterministically because any one venue's outcomes come from a
+  // single shard (stable_sort keeps their relative order).
+  if (closed_loop) return merged;
   std::stable_sort(merged.begin(), merged.end(),
                    [](const FederationOutcome& a, const FederationOutcome& b) {
                      if (a.completed_at.micros() != b.completed_at.micros()) {

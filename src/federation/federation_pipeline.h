@@ -115,22 +115,22 @@ struct FederationTransportConfig {
   static FederationTransportConfig Lossy(double loss_rate);
 };
 
-/// Multi-core execution knobs. With workers == 1 (default) the pipeline
-/// is the familiar single-thread engine, bit-identical to every earlier
-/// PR. With workers > 1 the cluster is sharded: venue v (its edge, its
-/// mobiles, their wifi links and every link the venue's nodes *send* on)
-/// lives on shard v % S, each shard with its own EventScheduler, Network,
-/// MetricsRegistry and tracer, synchronized by the conservative
-/// time-window protocol in netsim/shard.h. Only RunOpenLoop supports
-/// sharding (the closed loop is one-request-at-a-time by definition).
+/// Multi-core execution knobs. Every run goes through one engine, the
+/// netsim::ShardRunner; workers == 1 (default) runs it with one shard on
+/// the calling thread. With workers > 1 the cluster is sharded: venue v
+/// (its edge, its mobiles, their wifi links and every link the venue's
+/// nodes *send* on) lives on shard v % S, each shard with its own
+/// EventScheduler, Network, MetricsRegistry and tracer, synchronized by
+/// the conservative time-window protocol in netsim/shard.h. The closed
+/// loop needs one shard (it is one-request-at-a-time by definition).
 struct ExecutionConfig {
   /// Worker threads; clamped to the venue count (a shard owns >= 1
-  /// venue). 1 = classic single-thread engine.
+  /// venue). 1 = one shard on the calling thread.
   std::uint32_t workers = 1;
   enum class Mode : std::uint8_t {
     /// Window = the cluster's cross-shard lookahead (min propagation of
-    /// any cross-shard link): outcomes are bit-identical to the
-    /// single-thread engine.
+    /// any cross-shard link): outcomes are bit-identical to a one-shard
+    /// run. (One shard ignores the mode: it has no cross-shard link.)
     kDeterministic = 0,
     /// Window = `fast_window`, typically much wider than the lookahead:
     /// cross-shard arrivals that land in the receiver's past are clamped
@@ -279,7 +279,8 @@ struct FederationOutcome {
   SimTime completed_at;
 };
 
-/// Counters from the most recent RunOpenLoop (the throughput regime).
+/// Counters from the most recent run of either policy (Run or
+/// RunOpenLoop); the closed loop's max_inflight is at most 1.
 struct OpenLoopStats {
   /// Operations replayed.
   std::uint64_t operations = 0;
@@ -299,10 +300,11 @@ struct OpenLoopStats {
   /// wall-clock events/sec reporting). Sharded: summed over workers.
   std::uint64_t events_fired = 0;
   /// Scheduler actions per worker thread (one entry per shard; a single
-  /// entry equal to events_fired for the single-thread engine).
+  /// entry equal to events_fired on one shard).
   std::vector<std::uint64_t> per_worker_events_fired;
-  /// Sharded runs only: synchronization barrier rounds and frames that
-  /// crossed a shard boundary (both 0 for the single-thread engine).
+  /// Synchronization barrier rounds (also counted on one shard, where
+  /// the window only paces completion and stall checks) and frames that
+  /// crossed a shard boundary (0 on one shard).
   std::uint64_t sync_windows = 0;
   std::uint64_t cross_shard_messages = 0;
 };
@@ -335,16 +337,20 @@ class FederationPipeline {
 
   /// Closed loop: runs all queued operations one at a time (the paper's
   /// latency-study regime); outcomes in issue order. Gossip rounds are
-  /// driven from the operation loop.
+  /// driven from the operation loop. Needs one shard. The clock may end
+  /// up to one runner window (the gossip period, or 1 s without gossip)
+  /// past the last event.
   std::vector<FederationOutcome> Run();
 
-  /// Open loop: schedules every queued operation at its arrival time —
-  /// many requests in flight per venue and per mobile — with cache
-  /// summaries gossiped on free-running per-edge timers. Timers are
-  /// cancelled when the last operation completes, so the scheduler
-  /// drains fully (pending() == 0 afterwards). Outcomes are in
-  /// completion order; open_loop_stats() reports concurrency, gossip
-  /// rounds and events fired.
+  /// Open loop: schedules every queued operation at its arrival time (or
+  /// the shard's clock, if later) — many requests in flight per venue
+  /// and per mobile — with cache summaries gossiped on free-running
+  /// per-shard timers. Timers are cancelled when the last operation
+  /// completes, so every scheduler drains fully (pending() == 0
+  /// afterwards). Outcomes are in (completed_at, venue) order at every
+  /// shard count; open_loop_stats() reports concurrency, gossip rounds
+  /// and events fired. On one shard the clock may end up to one runner
+  /// window (as for Run) past the last event.
   std::vector<FederationOutcome> RunOpenLoop();
 
   [[nodiscard]] const OpenLoopStats& open_loop_stats() const noexcept {
@@ -713,12 +719,15 @@ class FederationPipeline {
            config_.transport.client_retry.enabled() ||
            config_.transport.cloud_retry.enabled();
   }
-  /// Free-running batched gossip timer (open-loop regime): one timer
-  /// per scheduler gossips every owned venue in ascending order — the
-  /// same per-venue send order N per-venue timers armed in venue order
-  /// produced, at 1/N the scheduler events.
-  void ArmGossipTimer();
-  void StopGossipTimers();
+  /// Free-running batched gossip timer (open loop): one per shard,
+  /// gossiping the shard's venues in ascending order — the per-venue
+  /// send order N per-venue timers armed in venue order produced, at 1/N
+  /// the scheduler events. The runner detects stalls itself.
+  void ArmGossipTimer(std::uint32_t shard);
+  /// Cancels `shard`'s timer only (a scheduler may only be touched from
+  /// its owning worker thread).
+  void StopGossipTimer(std::uint32_t shard);
+  /// Closed loop: gossips if due, then issues the next queued op.
   void IssueNext();
 
   /// Splits config_.chaos across shards: each fault is armed *counted*
@@ -730,16 +739,13 @@ class FederationPipeline {
   /// different shards — the conservative synchronization window.
   [[nodiscard]] Duration CrossShardLookahead() const;
   [[nodiscard]] std::uint64_t TotalCompleted() const noexcept;
-  /// Open-loop body for shard_count() > 1: builds a netsim::ShardRunner
-  /// and drives every shard's scheduler on its own worker thread.
-  std::vector<FederationOutcome> RunOpenLoopSharded();
-  /// Sharded batched gossip timer: one per shard, gossiping the shard's
-  /// venues in ascending order; same cadence as ArmGossipTimer minus the
-  /// stall bookkeeping (the runner detects cluster-wide stalls itself).
-  void ArmGossipTimerSharded(std::uint32_t shard);
-  /// Cancels `shard`'s batched timer only (a scheduler may only be
-  /// touched from its owning worker thread).
-  void StopGossipTimersShard(std::uint32_t shard);
+  /// Starts `op` on its venue's shard and records its completion; the
+  /// closed loop then issues the next op.
+  void Issue(Op op, bool closed_loop);
+  /// The one run loop behind Run and RunOpenLoop: builds a
+  /// netsim::ShardRunner and drives every shard's scheduler on its own
+  /// worker thread (shard 0 on the calling thread).
+  std::vector<FederationOutcome> RunLoop(bool closed_loop);
 
   [[nodiscard]] std::uint32_t ClientIndex(std::uint32_t venue,
                                           std::uint32_t mobile) const {
@@ -762,7 +768,7 @@ class FederationPipeline {
   /// Per-shard chaos engines (empty without a schedule); see ArmChaos().
   std::vector<std::unique_ptr<netsim::ChaosEngine>> counted_chaos_;
   std::vector<std::unique_ptr<netsim::ChaosEngine>> silent_chaos_;
-  /// Non-null only inside RunOpenLoopSharded: the shard networks'
+  /// Non-null only while RunLoop runs: the shard networks'
   /// remote-dispatch hooks feed it.
   netsim::ShardRunner* runner_ = nullptr;
   std::vector<std::unique_ptr<core::EdgeService>> edges_;
@@ -823,10 +829,6 @@ class FederationPipeline {
   std::vector<netsim::EventId> gossip_timers_;
   OpenLoopStats open_loop_;
   std::uint64_t expected_ = 0;
-  /// Stranded-workload detection (see ArmGossipTimer): completion count
-  /// at the last timer firing, and consecutive firings without progress.
-  std::uint64_t stall_completed_mark_ = 0;
-  std::uint64_t stall_rounds_ = 0;
 };
 
 }  // namespace coic::federation

@@ -198,10 +198,12 @@ void ShardRunner::OnDecideBarrier() noexcept {
 
   // Advance the window, skipping idle gaps: with nothing in flight
   // (checked above) no shard can hear anything before the globally
-  // earliest pending event plus one lookahead window.
-  std::int64_t start = im.window_end_micros;
-  if (next_min != INT64_MAX && next_min > start) start = next_min;
-  im.window_end_micros = start + config_.window.micros();
+  // earliest pending event plus one lookahead window. With nothing
+  // pending at all (the run is draining its quiesce round) the window
+  // stays put, so clocks end at most one window past the last event.
+  if (next_min == INT64_MAX) return;
+  im.window_end_micros =
+      std::max(im.window_end_micros, next_min) + config_.window.micros();
 }
 
 }  // namespace coic::netsim
