@@ -130,7 +130,7 @@ void BM_ControlFrameEncodeArenaVsPlain(benchmark::State& state) {
     if (use_arena) {
       Frame f = arena.Seal(proto::EncodeMessageInto(
           arena.Acquire(proto::kEnvelopeHeaderSize +
-                        static_cast<std::size_t>(query.WireSize())),
+                        proto::WireSize(query)),
           proto::MessageType::kPeerLookupRequest, id, query));
       benchmark::DoNotOptimize(f);
     } else {
@@ -516,7 +516,7 @@ void EmitMicroJson() {
     for (int i = 0; i < kFrames; ++i) {
       Frame f = arena.Seal(proto::EncodeMessageInto(
           arena.Acquire(proto::kEnvelopeHeaderSize +
-                        static_cast<std::size_t>(query.WireSize())),
+                        proto::WireSize(query)),
           proto::MessageType::kPeerLookupRequest,
           static_cast<std::uint64_t>(i), query));
       benchmark::DoNotOptimize(f);

@@ -18,9 +18,13 @@
 //     what the fused decode accepts, with equal fields — anywhere but
 //     the blob boundary that means it fails cleanly.
 //
-// Build (Clang only; excluded from tier-1):
-//   cmake -B build-fuzz -S . -DCMAKE_C_COMPILER=clang \
+// Tier-1 replays the seed corpus and every prefix of each seed through
+// LLVMFuzzerTestOneInput with the default compiler
+// (tests/fuzz_replay_test.cc, ctest label `unit`). Coverage-guided runs
+// need libFuzzer (Clang only):
+//   cmake -B build-fuzz -S . -DCMAKE_C_COMPILER=clang
 //     -DCMAKE_CXX_COMPILER=clang++ -DCOIC_BUILD_FUZZERS=ON -DCOIC_SANITIZE=ON
+//   (one command line)
 //   cmake --build build-fuzz --target coic_fuzz_decode coic_fuzz_seed_corpus
 // Seed and run:
 //   build-fuzz/coic_fuzz_seed_corpus corpus/
@@ -39,45 +43,20 @@ namespace {
 using namespace coic;        // NOLINT(google-build-using-namespace)
 using namespace coic::proto; // NOLINT(google-build-using-namespace)
 
-/// Runs one payload decoder (owning or view form) over arbitrary bytes.
-template <typename M>
-void TryDecode(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  (void)M::Decode(r);
-}
-
+/// Runs every described payload decoder (owning and view forms, from
+/// the codec's type lists) over arbitrary bytes.
 void DecodeAllTypes(std::span<const std::uint8_t> payload) {
-  TryDecode<RecognitionRequest>(payload);
-  TryDecode<RecognitionResult>(payload);
-  TryDecode<RecognitionResultView>(payload);
-  TryDecode<RenderRequest>(payload);
-  TryDecode<RenderResult>(payload);
-  TryDecode<RenderResultView>(payload);
-  TryDecode<PanoramaRequest>(payload);
-  TryDecode<PanoramaResult>(payload);
-  TryDecode<PanoramaResultView>(payload);
-  TryDecode<ErrorReply>(payload);
-  TryDecode<PeerLookupRequest>(payload);
-  TryDecode<PeerLookupReply>(payload);
-  TryDecode<PeerLookupReplyView>(payload);
-  TryDecode<SummaryUpdate>(payload);
-  TryDecode<SummaryDeltaUpdate>(payload);
-  TryDecode<FederatedRelay>(payload);
-  TryDecode<CacheStatsReply>(payload);
+  const auto try_decode = [payload](auto type) {
+    ByteReader r(payload);
+    (void)DecodePayload<typename decltype(type)::type>(r);
+  };
+  ForEachType(WireMessages{}, try_decode);
+  ForEachType(WireViews{}, try_decode);
 }
 
 /// A property violation is a crash, so libFuzzer saves the input.
 void Require(bool property) {
   if (!property) std::abort();
-}
-
-/// The bytes `msg` encodes to — field equality that is exact for floats
-/// (NaN confidences included).
-template <typename M>
-ByteVec Encoded(const M& msg) {
-  ByteWriter w;
-  msg.Encode(w);
-  return w.TakeBytes();
 }
 
 /// Decodes `frame` split at `split` (head = frame[0, split), tail = the
@@ -99,7 +78,9 @@ void CheckGathered(std::span<const std::uint8_t> frame, std::size_t split,
   if (at_blob_boundary) Require(gathered.ok() == fused.ok());
   if (gathered.ok()) {
     Require(fused.ok());
-    Require(Encoded(gathered.value()) == Encoded(fused.value()));
+    // Equal encodings: field equality that is exact for floats (NaN
+    // confidences included).
+    Require(EncodePayload(gathered.value()) == EncodePayload(fused.value()));
     // Only the final blob may ride the tail (an empty tail is the fused
     // decode itself).
     Require(at_blob_boundary || split == frame.size());
@@ -133,6 +114,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   (void)PeekRelayFrame(input);
   (void)PeekSummaryFrame(input);
   (void)PeekSummaryDeltaFrame(input);
+  (void)PeekRegionDigestFrame(input);
 
   // Envelope decode, borrowed-view and owning (the owning form is a thin
   // wrapper; running both keeps their validation pinned together).
@@ -144,6 +126,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     // payload window, not just the tagged one — decoders must be safe on
     // any bytes regardless of the envelope's type claim.
     DecodeAllTypes(view.value().payload);
+    (void)PeekRequestOffloadMode(view.value().type, view.value().payload);
+    (void)ResultSourceOffset(view.value().type, view.value().payload);
     switch (view.value().type) {
       case MessageType::kRecognitionResult:
         CheckGatheredSplits<RecognitionResult, RecognitionResultView>(

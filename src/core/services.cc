@@ -113,27 +113,17 @@ void CloudService::HandleRecognition(const EnvelopeView& env) {
     compute = config_.costs.recognition.cloud_descriptor_inference;
   }
 
-  // Single-buffer reply: header + RecognitionResult fields written once,
-  // with the memoized annotation frame blitted in directly — the old
-  // path copied the annotation into a result struct, the struct into a
-  // payload vector, and the payload into the envelope. Field order
-  // mirrors RecognitionResult::Encode (pinned by a services test).
+  // Single-buffer reply through the view: the memoized annotation frame
+  // is copied once, straight onto the wire.
   const Frame annotation = AnnotationFor(recognized.label);
-  ByteWriter w(proto::kEnvelopeHeaderSize + 8 + 4 + recognized.label.size() +
-               4 + 1 + 4 + annotation.size());
-  proto::AppendEnvelopeHeader(w, MessageType::kRecognitionResult,
-                              env.request_id, 0);
-  w.WriteU64(request.frame_id);
-  w.WriteString(recognized.label);
-  w.WriteF32(recognized.confidence);
-  w.WriteU8(static_cast<std::uint8_t>(ResultSource::kCloud));
-  w.WriteBlob(annotation.span());
-  COIC_CHECK_MSG(w.size() - proto::kEnvelopeHeaderSize <=
-                     proto::kMaxPayloadBytes,
-                 "payload too large");
-  w.PatchU32(16, static_cast<std::uint32_t>(w.size() -
-                                            proto::kEnvelopeHeaderSize));
-  delay_(compute, [this, reply = Frame(w.TakeBytes())]() mutable {
+  Frame reply(proto::EncodeMessage(
+      MessageType::kRecognitionResult, env.request_id,
+      proto::RecognitionResultView{.frame_id = request.frame_id,
+                                   .label = recognized.label,
+                                   .confidence = recognized.confidence,
+                                   .source = ResultSource::kCloud,
+                                   .annotation = annotation.span()}));
+  delay_(compute, [this, reply = std::move(reply)]() mutable {
     send_(Peer::kClient, std::move(reply));
   });
 }
@@ -175,11 +165,10 @@ void CloudService::HandleRender(const EnvelopeView& env) {
     result.model_id = *model_id;
     result.source = ResultSource::kCloud;
     result.model_bytes.assign(bytes.value().begin(), bytes.value().end());
-    ByteWriter w(result.WireSize());
-    result.Encode(w);
     memo = render_payload_memo_
-               .emplace(*model_id, std::make_pair(result.model_bytes.size(),
-                                                  Frame(w.TakeBytes())))
+               .emplace(*model_id,
+                        std::make_pair(result.model_bytes.size(),
+                                       Frame(proto::EncodePayload(result))))
                .first;
   }
 
@@ -222,11 +211,9 @@ void CloudService::HandlePanorama(const EnvelopeView& env) {
           request.video_id * 31 + request.frame_index);
       result.frame.insert(result.frame.end(), pad.begin(), pad.end());
     }
-    ByteWriter w(result.WireSize());
-    result.Encode(w);
     memo = panorama_payload_memo_
                .emplace(std::make_pair(request.video_id, request.frame_index),
-                        Frame(w.TakeBytes()))
+                        Frame(proto::EncodePayload(result)))
                .first;
   }
 
@@ -303,28 +290,6 @@ void EdgeService::ReleaseCoalesceKey(const std::optional<std::uint64_t>& key) {
   if (key) inflight_keys_.erase(*key);
 }
 
-Frame EdgeService::EncodePeerLookupReplyFrame(
-    std::uint64_t request_id, bool found, MessageType reply_type,
-    std::span<const std::uint8_t> payload) {
-  // Single-buffer encode of the PeerLookupReply envelope (field order
-  // mirrors PeerLookupReply::Encode; pinned by a test) — the payload is
-  // copied exactly once, onto the wire. With an arena configured the
-  // buffer itself is recycled; wire bytes are identical either way.
-  const std::size_t reserve =
-      proto::kEnvelopeHeaderSize + 1 + 1 + 4 + payload.size();
-  ByteWriter w = config_.frame_arena
-                     ? ByteWriter(config_.frame_arena->Acquire(reserve))
-                     : ByteWriter(reserve);
-  proto::AppendEnvelopeHeader(
-      w, MessageType::kPeerLookupReply, request_id,
-      static_cast<std::uint32_t>(1 + 1 + 4 + payload.size()));
-  w.WriteU8(found ? 1 : 0);
-  w.WriteU8(static_cast<std::uint8_t>(reply_type));
-  w.WriteBlob(payload);
-  return config_.frame_arena ? config_.frame_arena->Seal(w.TakeBytes())
-                             : Frame(w.TakeBytes());
-}
-
 void EdgeService::AnswerRemoteWaiters(const std::vector<RemoteWaiter>& waiters,
                                       bool found, const Frame& payload) {
   if (waiters.empty() || !config_.peer_send) return;
@@ -332,9 +297,13 @@ void EdgeService::AnswerRemoteWaiters(const std::vector<RemoteWaiter>& waiters,
     // Each prober gets a reply under its own probe request id — exactly
     // the frame an immediate miss/hit answer would have produced.
     config_.peer_send(
-        rw.peer, EncodePeerLookupReplyFrame(
-                     rw.request_id, found, rw.reply_type,
-                     found ? payload.span() : std::span<const std::uint8_t>{}));
+        rw.peer,
+        EncodeFrame(MessageType::kPeerLookupReply, rw.request_id,
+                    proto::PeerLookupReplyView{
+                        .found = found,
+                        .reply_type = rw.reply_type,
+                        .payload = found ? payload.span()
+                                         : std::span<const std::uint8_t>{}}));
   }
 }
 
@@ -436,9 +405,7 @@ void EdgeService::ShedPending(std::uint64_t request_id, PendingForward pending,
   proto::ErrorReply err;
   err.code = static_cast<std::uint16_t>(code);
   err.message = message;
-  ByteWriter pw;
-  err.Encode(pw);
-  FailWaiters(pending.waiters, pw.bytes());
+  FailWaiters(pending.waiters, proto::EncodePayload(err));
 }
 
 bool EdgeService::BreakerRefusesForward(std::uint64_t request_id) {
@@ -560,9 +527,7 @@ void EdgeService::HandleCloudFetchFailure(std::uint64_t request_id) {
   proto::ErrorReply err;
   err.code = static_cast<std::uint16_t>(StatusCode::kTimeout);
   err.message = "cloud fetch timed out";
-  ByteWriter pw;
-  err.Encode(pw);
-  const ByteVec err_payload = pw.TakeBytes();
+  const ByteVec err_payload = proto::EncodePayload(err);
 
   // The dead leader's own client gets an error — its retry budget is
   // spent, and a drained run beats an eternally parked one.
@@ -796,15 +761,8 @@ void EdgeService::OnLocalMiss(Frame frame,
       query.descriptor = descriptor;
       query.reply_type = reply_type;
       // Encoded once; every probe fans out the same refcounted buffer.
-      // An arena recycles the probe's backing storage across requests.
-      FrameArena* arena = config_.frame_arena;
       const Frame probe =
-          arena ? arena->Seal(proto::EncodeMessageInto(
-                      arena->Acquire(proto::kEnvelopeHeaderSize +
-                                     static_cast<std::size_t>(query.WireSize())),
-                      MessageType::kPeerLookupRequest, request_id, query))
-                : Frame(proto::EncodeMessage(MessageType::kPeerLookupRequest,
-                                             request_id, query));
+          EncodeFrame(MessageType::kPeerLookupRequest, request_id, query);
       PendingForward pending;
       pending.request_type = request_type;
       pending.reply_type = reply_type;
@@ -881,14 +839,13 @@ void EdgeService::HandlePeerLookupRequest(
                }
              }
            }
-           const std::span<const std::uint8_t> payload =
-               outcome.hit ? outcome.payload.span()
-                           : std::span<const std::uint8_t>{};
-           COIC_CHECK_MSG(1 + 1 + 4 + payload.size() <=
-                              proto::kMaxPayloadBytes,
-                          "payload too large");
-           Frame reply = EncodePeerLookupReplyFrame(request_id, outcome.hit,
-                                                    reply_type, payload);
+           const proto::PeerLookupReplyView answer{
+               .found = outcome.hit,
+               .reply_type = reply_type,
+               .payload = outcome.hit ? outcome.payload.span()
+                                      : std::span<const std::uint8_t>{}};
+           Frame reply =
+               EncodeFrame(MessageType::kPeerLookupReply, request_id, answer);
            if (from_peer && config_.peer_send) {
              config_.peer_send(*from_peer, std::move(reply));
            } else {

@@ -456,11 +456,20 @@ class EdgeService {
   /// falls through to its remaining peers / the cloud.
   void AnswerRemoteWaiters(const std::vector<RemoteWaiter>& waiters,
                            bool found, const Frame& payload);
-  /// Encodes a PeerLookupReply, recycling an arena buffer when one is
+  /// Encodes `msg` in an envelope, recycling an arena buffer when one is
   /// configured. Wire bytes match the plain path exactly.
-  [[nodiscard]] Frame EncodePeerLookupReplyFrame(
-      std::uint64_t request_id, bool found, proto::MessageType reply_type,
-      std::span<const std::uint8_t> payload);
+  template <typename Message>
+  [[nodiscard]] Frame EncodeFrame(proto::MessageType type,
+                                  std::uint64_t request_id,
+                                  const Message& msg) {
+    FrameArena* arena = config_.frame_arena;
+    if (arena == nullptr) {
+      return Frame(proto::EncodeMessage(type, request_id, msg));
+    }
+    return arena->Seal(proto::EncodeMessageInto(
+        arena->Acquire(proto::kEnvelopeHeaderSize + proto::WireSize(msg)),
+        type, request_id, msg));
+  }
   /// Records a local request for `coalesce_key` (bounded map; counts
   /// feed the peer-hit adoption filter). No-op unless the filter is on.
   void NoteKeyUse(std::uint64_t coalesce_key);

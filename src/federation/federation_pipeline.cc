@@ -17,6 +17,19 @@ using proto::MessageType;
 using proto::PeekMessageType;
 using proto::PeekRequestId;
 
+/// `inner` wrapped for `dest`, `hops` links away from the first sender
+/// (the ttl counts the forwards after hop 1). The envelope request id
+/// mirrors the inner frame's, so reply routing works on the wrapper.
+Frame RelayFrame(std::uint32_t src, std::uint32_t dest, std::uint32_t hops,
+                 const Frame& inner) {
+  return Frame(proto::EncodeMessage(
+      MessageType::kFederatedRelay, PeekRequestId(inner.span()),
+      proto::FederatedRelayView{.src_edge = src,
+                                .dest_edge = dest,
+                                .ttl = static_cast<std::uint8_t>(hops - 1),
+                                .inner = inner.span()}));
+}
+
 }  // namespace
 
 FederationTransportConfig FederationTransportConfig::Lossy(double loss_rate) {
@@ -680,9 +693,7 @@ void FederationPipeline::SendEdgeToEdge(std::uint32_t from, std::uint32_t to,
   }
   NetOf(from).Send(edge_nodes_[from],
                    edge_nodes_[topology_.NextHop(from, to)],
-                   proto::EncodeRelayFrame(
-                       from, to, static_cast<std::uint8_t>(dist - 1),
-                       frame.span()));  // forwards after hop 1
+                   RelayFrame(from, to, dist, frame));
 }
 
 void FederationPipeline::OnPeerEdgeFrame(std::uint32_t venue,
@@ -884,7 +895,7 @@ void FederationPipeline::MaybeSendSummaryAck(std::uint32_t venue,
   SendEdgeToEdge(venue, peer,
                  arena.Seal(proto::EncodeMessageInto(
                      arena.Acquire(proto::kEnvelopeHeaderSize +
-                                   static_cast<std::size_t>(ack.WireSize())),
+                                   proto::WireSize(ack)),
                      MessageType::kSummaryAck, version, ack)));
 }
 
@@ -1055,7 +1066,7 @@ void FederationPipeline::GossipEdgeDelta(std::uint32_t venue) {
         if (covered && !erased) {
           const proto::SummaryDeltaUpdate delta =
               summaries_[venue].ToWireDelta(sent.version, std::move(inserted));
-          if (proto::kEnvelopeHeaderSize + delta.WireSize() <
+          if (proto::kEnvelopeHeaderSize + proto::WireSize(delta) <
               full_frame.size()) {
             memo->second = Frame(proto::EncodeMessage(
                 MessageType::kSummaryDeltaUpdate, version, delta));
@@ -1186,7 +1197,7 @@ void FederationPipeline::GossipEdgeHierarchical(std::uint32_t venue) {
     FrameArena& arena = ArenaOf(venue);
     digest_frames_[venue] = arena.Seal(proto::EncodeMessageInto(
         arena.Acquire(proto::kEnvelopeHeaderSize +
-                      static_cast<std::size_t>(wire.WireSize())),
+                      proto::WireSize(wire)),
         MessageType::kRegionDigestUpdate, next_version, wire));
     digest_built_versions_[venue] = next_version;
     digest_signatures_[venue] = signature;
@@ -1297,9 +1308,7 @@ bool FederationPipeline::MaybeForwardProbeAsHead(std::uint32_t venue,
   ++rc.head_forwards;
   NetOf(venue).Send(edge_nodes_[venue],
                     edge_nodes_[topology_.NextHop(venue, best_member)],
-                    proto::EncodeRelayFrame(src, best_member,
-                                            static_cast<std::uint8_t>(dist - 1),
-                                            frame.span()));
+                    RelayFrame(src, best_member, dist, frame));
   return true;
 }
 

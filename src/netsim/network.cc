@@ -179,29 +179,26 @@ void Network::SendChunked(NodeId from, NodeId to, Frame payload,
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t off = i * mtu;
     const std::size_t len = std::min(mtu, total - off);
-    // Hand-rolled chunk encode: envelope header + index/count + blob,
-    // written straight from the payload slice (no DatagramChunk struct
-    // detour, no intermediate ByteVec).
-    ByteWriter w(proto::kEnvelopeHeaderSize + 2 + 2 + 4 + len);
-    proto::AppendEnvelopeHeader(w, proto::MessageType::kDatagramChunk, seq, 0);
-    w.WriteU16(static_cast<std::uint16_t>(i));
-    w.WriteU16(static_cast<std::uint16_t>(count));
-    w.WriteBlob(payload.span().subspan(off, len));
-    w.PatchU32(16, static_cast<std::uint32_t>(w.size() -
-                                              proto::kEnvelopeHeaderSize));
+    // The chunk view borrows the payload slice: one copy, onto the wire.
+    Frame chunk(proto::EncodeMessage(
+        proto::MessageType::kDatagramChunk, seq,
+        proto::DatagramChunkView{
+            .chunk_index = static_cast<std::uint16_t>(i),
+            .chunk_count = static_cast<std::uint16_t>(count),
+            .data = payload.span().subspan(off, len)}));
     ++datagram_stats_.chunks_sent;
     if (nodes_[to].remote) {
       // Chunk trains to a remote node reassemble here on the sender's
       // shard, synchronously in send order (links are FIFO, so send
       // order is delivery order); the completed message rides the
       // remote hook stamped with the last chunk's delivery time.
-      link.SendTimed(Frame(w.TakeBytes()),
+      link.SendTimed(std::move(chunk),
                      [this, from, to](SimTime at, Frame delivered) {
                        OnChunkDelivered(from, to, delivered, at);
                      },
                      chunk_drop);
     } else {
-      link.Send(Frame(w.TakeBytes()),
+      link.Send(std::move(chunk),
                 [this, from, to](Frame delivered) {
                   OnChunkDelivered(from, to, delivered, sched_.now());
                 },

@@ -11,6 +11,14 @@
 #include "netsim/spsc_queue.h"
 
 namespace coic::netsim {
+namespace {
+
+/// Barrier rounds without a new completion before the runner declares a
+/// stall (backstop — the precise idle-floor trigger normally fires long
+/// before this).
+constexpr std::uint64_t kStallBackstopWindows = 1'000'000;
+
+}  // namespace
 
 struct ShardRunner::Impl {
   /// Per-shard counters published in the drain phase and read by the
@@ -185,7 +193,7 @@ void ShardRunner::OnDecideBarrier() noexcept {
       // nothing is in flight: no operation can ever complete again.
       im.quiesce = true;
       im.stalled = true;
-    } else if (im.windows_no_progress > config_.stall_backstop_windows) {
+    } else if (im.windows_no_progress > kStallBackstopWindows) {
       im.quiesce = true;
       im.stalled = true;
     }

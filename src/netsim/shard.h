@@ -77,10 +77,6 @@ struct ShardRunnerConfig {
   /// Target operation count; 0 quiesces at the first barrier (drain-only
   /// run).
   std::uint64_t expected_completions = 0;
-  /// Barrier rounds without a new completion before the runner declares
-  /// a stall (backstop — the precise idle-floor trigger normally fires
-  /// long before this).
-  std::uint64_t stall_backstop_windows = 1'000'000;
 };
 
 class ShardRunner {

@@ -163,30 +163,10 @@ Frame UnwrapRelay(const Frame& frame, const RelayFrameView& view) {
   return frame.Slice(view.inner_offset, view.inner_size);
 }
 
-ByteVec EncodeRelayFrame(std::uint32_t src_edge, std::uint32_t dest_edge,
-                         std::uint8_t ttl,
-                         std::span<const std::uint8_t> inner) {
-  // Layout fixed by FederatedRelay::Encode: src(4) dest(4) ttl(1)
-  // inner-len(4) inner(N). The envelope request id mirrors the inner
-  // frame's so reply routing works on the wrapper alone.
-  constexpr std::size_t kRelayOverhead = 13;
-  COIC_CHECK(inner.size() >= kEnvelopeHeaderSize);
-  COIC_CHECK_MSG(kRelayOverhead + inner.size() <= kMaxPayloadBytes,
-                 "relay payload too large");
-  ByteWriter w(kEnvelopeHeaderSize + kRelayOverhead + inner.size());
-  AppendEnvelopeHeader(w, MessageType::kFederatedRelay, PeekRequestId(inner),
-                       static_cast<std::uint32_t>(kRelayOverhead + inner.size()));
-  w.WriteU32(src_edge);
-  w.WriteU32(dest_edge);
-  w.WriteU8(ttl);
-  w.WriteBlob(inner);
-  return w.TakeBytes();
-}
-
 Result<SummaryFrameHeader> PeekSummaryFrame(
     std::span<const std::uint8_t> frame) {
-  // SummaryUpdate::Encode and SummaryDeltaUpdate::Encode both lead with
-  // u32 edge_id, u64 version.
+  // SummaryUpdate and SummaryDeltaUpdate both lead with u32 edge_id,
+  // u64 version.
   const auto type = frame.size() > 6 ? static_cast<MessageType>(frame[6])
                                      : MessageType::kPing;
   if (frame.size() < kEnvelopeHeaderSize + 12 ||
@@ -202,7 +182,7 @@ Result<SummaryFrameHeader> PeekSummaryFrame(
 
 Result<SummaryDeltaFrameHeader> PeekSummaryDeltaFrame(
     std::span<const std::uint8_t> frame) {
-  // SummaryDeltaUpdate::Encode leads with u32 edge_id, u64 version,
+  // SummaryDeltaUpdate leads with u32 edge_id, u64 version,
   // u64 base_version.
   if (frame.size() < kEnvelopeHeaderSize + 20 ||
       static_cast<MessageType>(frame[6]) != MessageType::kSummaryDeltaUpdate) {
@@ -217,7 +197,7 @@ Result<SummaryDeltaFrameHeader> PeekSummaryDeltaFrame(
 
 Result<RegionDigestFrameHeader> PeekRegionDigestFrame(
     std::span<const std::uint8_t> frame) {
-  // RegionDigestUpdate::Encode leads with u32 region_id, u32 head_edge,
+  // RegionDigestUpdate leads with u32 region_id, u32 head_edge,
   // u64 version.
   if (frame.size() < kEnvelopeHeaderSize + 16 ||
       static_cast<MessageType>(frame[6]) != MessageType::kRegionDigestUpdate) {

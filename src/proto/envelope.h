@@ -68,42 +68,31 @@ ByteVec EncodeEnvelope(MessageType type, std::uint64_t request_id,
 void AppendEnvelopeHeader(ByteWriter& w, MessageType type,
                           std::uint64_t request_id, std::uint32_t payload_len);
 
-/// Convenience: encodes `msg` (any type with Encode(ByteWriter&)) and
-/// wraps it in an envelope. Header and payload are written into one
-/// buffer (no intermediate payload vector + copy), reserved up front
-/// when the message can report its WireSize().
-template <typename Message>
-ByteVec EncodeMessage(MessageType type, std::uint64_t request_id,
-                      const Message& msg) {
-  ByteWriter w = [&] {
-    if constexpr (requires { msg.WireSize(); }) {
-      return ByteWriter(kEnvelopeHeaderSize + msg.WireSize());
-    } else {
-      return ByteWriter();
-    }
-  }();
-  AppendEnvelopeHeader(w, type, request_id, 0);
-  msg.Encode(w);
-  COIC_CHECK_MSG(w.size() - kEnvelopeHeaderSize <= kMaxPayloadBytes,
-                 "payload too large");
-  w.PatchU32(16, static_cast<std::uint32_t>(w.size() - kEnvelopeHeaderSize));
-  return w.TakeBytes();
-}
-
 /// EncodeMessage writing into caller-provided storage: `storage`'s heap
 /// capacity is reused (cleared first), so an arena-recycled buffer makes
 /// the encode allocation-free once warm. Returns the same bytes
 /// EncodeMessage would.
-template <typename Message>
+template <Described Message>
 ByteVec EncodeMessageInto(ByteVec&& storage, MessageType type,
                           std::uint64_t request_id, const Message& msg) {
+  const Bytes size = WireSize(msg);
+  COIC_CHECK_MSG(size <= kMaxPayloadBytes, "payload too large");
+  storage.clear();
+  storage.reserve(kEnvelopeHeaderSize + size);
   ByteWriter w(std::move(storage));
-  AppendEnvelopeHeader(w, type, request_id, 0);
-  msg.Encode(w);
-  COIC_CHECK_MSG(w.size() - kEnvelopeHeaderSize <= kMaxPayloadBytes,
-                 "payload too large");
-  w.PatchU32(16, static_cast<std::uint32_t>(w.size() - kEnvelopeHeaderSize));
+  AppendEnvelopeHeader(w, type, request_id, static_cast<std::uint32_t>(size));
+  EncodePayload(w, msg);
   return w.TakeBytes();
+}
+
+/// Encodes `msg` (any described message or view, see codec.h) in an
+/// envelope: header and payload written into one buffer of exactly the
+/// frame's size. A view encodes its borrowed spans straight from where
+/// they live, so wrapping a cached payload or a slice copies it once.
+template <Described Message>
+ByteVec EncodeMessage(MessageType type, std::uint64_t request_id,
+                      const Message& msg) {
+  return EncodeMessageInto(ByteVec(), type, request_id, msg);
 }
 
 /// Parses a full envelope from `data` without copying the payload (see
@@ -158,7 +147,7 @@ Result<std::size_t> PeekFrameSize(std::span<const std::uint8_t> data);
 // needs to read dest/ttl and decrement ttl, so a full decode→re-encode
 // (which copies the inner envelope twice) is pure waste. These helpers
 // operate on the encoded frame in place. The wire layout after the
-// 20-byte envelope header is fixed by FederatedRelay::Encode:
+// 20-byte envelope header is fixed by FederatedRelay's field list:
 //
 //   offset  size  field
 //   20      4     src_edge
@@ -179,7 +168,7 @@ struct RelayFrameView {
 
 /// Validates the envelope header and relay payload structure without
 /// copying; fails with kDataLoss exactly where DecodeEnvelope +
-/// FederatedRelay::Decode would.
+/// DecodePayloadAs<FederatedRelay> would.
 Result<RelayFrameView> PeekRelayFrame(std::span<const std::uint8_t> frame);
 
 /// Decrements the ttl byte of an encoded relay frame. While the frame's
@@ -197,22 +186,12 @@ void DecrementRelayTtl(Frame& frame);
 /// Precondition: `view` was peeked from `frame`.
 [[nodiscard]] Frame UnwrapRelay(const Frame& frame, const RelayFrameView& view);
 
-/// Encodes a complete kFederatedRelay frame around an already-encoded
-/// inner envelope in one buffer (the envelope request id mirrors the
-/// inner frame's, as SendEdgeToEdge requires). One inherent copy of the
-/// inner bytes; byte-identical to EncodeMessage over a FederatedRelay
-/// struct without the struct detour.
-[[nodiscard]] ByteVec EncodeRelayFrame(std::uint32_t src_edge,
-                                       std::uint32_t dest_edge,
-                                       std::uint8_t ttl,
-                                       std::span<const std::uint8_t> inner);
-
 /// Leading fields of an encoded kSummaryUpdate or kSummaryDeltaUpdate
 /// frame, read at their fixed offsets without decoding the bloom bits /
 /// key list and centroids. Lets a receiver drop a stale or duplicate
 /// summary before paying the full decode. Fails with kDataLoss if the
 /// frame is not a summary(-delta) envelope or is too short. (A layout
-/// test pins these offsets to the Encode field order both types share.)
+/// test pins these offsets to the field order both types share.)
 struct SummaryFrameHeader {
   std::uint32_t edge_id = 0;
   std::uint64_t version = 0;
@@ -260,7 +239,7 @@ Result<M> DecodePayloadAs(const AnyEnvelope& env, MessageType expected) {
       return ByteReader(env.payload);
     }
   }();
-  auto result = M::Decode(r);
+  auto result = DecodePayload<M>(r);
   if (!result.ok()) return result.status();
   if (!r.AtEnd()) {
     return Status(StatusCode::kDataLoss, "trailing bytes after payload");

@@ -1,10 +1,19 @@
 // CoIC wire messages.
 //
-// One struct per protocol message, each with Encode/Decode. The message
-// set covers the three IC task families the paper identifies (object
-// recognition, 3D rendering, panoramic VR streaming) in both CoIC mode
-// (descriptor-first) and Origin mode (full input offload), plus the
-// edge<->cloud forwarding and cache-maintenance messages from Figure 1.
+// One struct per protocol message, each followed by its Schema: the
+// field list, in wire order, plus an optional cross-field Check. The
+// codec (codec.h) derives WireSize, EncodePayload and the bounds-checked
+// DecodePayload from that list. The message set covers the three IC
+// task families the paper identifies (object recognition, 3D rendering,
+// panoramic VR streaming) in both CoIC mode (descriptor-first) and
+// Origin mode (full input offload), plus the edge<->cloud forwarding
+// and cache-maintenance messages from Figure 1.
+//
+// Adding a message: add its MessageType, the struct, and a Schema
+// specialization naming kType and Fields (and Check if fields constrain
+// one another); then list it in WireMessages at the bottom, which the
+// round-trip test and the fuzz harness iterate. A borrowed twin (a
+// `*View` whose blobs/strings are spans) inherits the owning Schema.
 #pragma once
 
 #include <array>
@@ -17,6 +26,7 @@
 
 #include "common/bytes.h"
 #include "common/units.h"
+#include "proto/codec.h"
 #include "proto/descriptor.h"
 
 namespace coic::proto {
@@ -72,11 +82,19 @@ enum class MessageType : std::uint8_t {
 
 std::string_view MessageTypeName(MessageType t) noexcept;
 
+/// A MessageType carried as a payload field (a peer lookup's
+/// reply_type) names the result message the payload decodes as.
+constexpr bool InWireRange(MessageType t) {
+  return t == MessageType::kRecognitionResult ||
+         t == MessageType::kRenderResult || t == MessageType::kPanoramaResult;
+}
+
 /// How a request wants the task executed.
 enum class OffloadMode : std::uint8_t {
   kCoic = 0,    ///< Descriptor-first: edge cache consulted (Figure 1 path).
   kOrigin = 1,  ///< Baseline: full input offloaded straight to the cloud.
 };
+constexpr bool InWireRange(OffloadMode m) { return m <= OffloadMode::kOrigin; }
 
 /// Where a result was produced — clients use this to account hit/miss QoE.
 enum class ResultSource : std::uint8_t {
@@ -85,6 +103,9 @@ enum class ResultSource : std::uint8_t {
   kLocal = 2,      ///< Computed on-device (Local baseline).
   kPeerEdge = 3,   ///< Served from a cooperating peer edge's cache.
 };
+constexpr bool InWireRange(ResultSource s) {
+  return s <= ResultSource::kPeerEdge;
+}
 
 // ---------------------------------------------------------------------------
 // Recognition (AR object recognition; Figure 2a workload)
@@ -104,11 +125,21 @@ struct RecognitionRequest {
   /// before spending a cloud fetch on it.
   std::uint32_t deadline_ms = 0;
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<RecognitionRequest> Decode(ByteReader& r);
   friend bool operator==(const RecognitionRequest&,
                          const RecognitionRequest&) = default;
+};
+
+template <>
+struct Schema<RecognitionRequest> {
+  static constexpr MessageType kType = MessageType::kRecognitionRequest;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.user_id, m.app_id, m.frame_id, m.mode, m.descriptor, m.image,
+             m.deadline_ms);
+  }
+  static Status Check(const auto& m) {
+    return FirstViolation({{m.mode == OffloadMode::kOrigin && m.image.empty(),
+                            "Origin recognition without image"}});
+  }
 };
 
 /// Edge/cloud -> client. The annotation blob is the "high-quality 3D
@@ -120,26 +151,32 @@ struct RecognitionResult {
   ResultSource source = ResultSource::kCloud;
   ByteVec annotation;
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<RecognitionResult> Decode(ByteReader& r);
   friend bool operator==(const RecognitionResult&,
                          const RecognitionResult&) = default;
 };
 
 /// Borrowed-view twin of RecognitionResult: `label` and `annotation`
 /// point into the decoded buffer (valid only while it lives — in
-/// practice while the receive-path Frame is held). Identical wire
-/// validation; the owning Decode is a thin wrapper over this one.
+/// practice while the receive-path Frame is held). Same field list; the
+/// owning decode goes through this one.
 struct RecognitionResultView {
   std::uint64_t frame_id = 0;
   std::string_view label;
   float confidence = 0;
   ResultSource source = ResultSource::kCloud;
   std::span<const std::uint8_t> annotation;
-
-  static Result<RecognitionResultView> Decode(ByteReader& r);
 };
+
+template <>
+struct Schema<RecognitionResult> {
+  static constexpr MessageType kType = MessageType::kRecognitionResult;
+  using View = RecognitionResultView;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.frame_id, m.label, m.confidence, m.source, m.annotation);
+  }
+};
+template <>
+struct Schema<RecognitionResultView> : Schema<RecognitionResult> {};
 
 // ---------------------------------------------------------------------------
 // 3D model rendering (Figure 2b workload)
@@ -155,10 +192,16 @@ struct RenderRequest {
   std::uint8_t level_of_detail = 0;
   std::uint32_t deadline_ms = 0;  ///< Latency budget; 0 = no deadline.
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<RenderRequest> Decode(ByteReader& r);
   friend bool operator==(const RenderRequest&, const RenderRequest&) = default;
+};
+
+template <>
+struct Schema<RenderRequest> {
+  static constexpr MessageType kType = MessageType::kRenderRequest;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.user_id, m.app_id, m.model_id, m.mode, m.descriptor,
+             m.level_of_detail, m.deadline_ms);
+  }
 };
 
 /// Edge/cloud -> client: the loaded model payload ready for draw.
@@ -167,9 +210,6 @@ struct RenderResult {
   ResultSource source = ResultSource::kCloud;
   ByteVec model_bytes;  ///< Parsed/loaded model representation.
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<RenderResult> Decode(ByteReader& r);
   friend bool operator==(const RenderResult&, const RenderResult&) = default;
 };
 
@@ -180,9 +220,18 @@ struct RenderResultView {
   std::uint64_t model_id = 0;
   ResultSource source = ResultSource::kCloud;
   std::span<const std::uint8_t> model_bytes;
-
-  static Result<RenderResultView> Decode(ByteReader& r);
 };
+
+template <>
+struct Schema<RenderResult> {
+  static constexpr MessageType kType = MessageType::kRenderResult;
+  using View = RenderResultView;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.model_id, m.source, m.model_bytes);
+  }
+};
+template <>
+struct Schema<RenderResultView> : Schema<RenderResult> {};
 
 // ---------------------------------------------------------------------------
 // Panoramic VR streaming (paper §1.2, third redundancy insight)
@@ -197,6 +246,13 @@ struct Viewport {
   friend bool operator==(const Viewport&, const Viewport&) = default;
 };
 
+template <>
+struct Schema<Viewport> {
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.yaw_deg, m.pitch_deg, m.fov_deg);
+  }
+};
+
 struct PanoramaRequest {
   std::uint32_t user_id = 0;
   std::uint64_t video_id = 0;
@@ -206,10 +262,16 @@ struct PanoramaRequest {
   Viewport viewport;
   std::uint32_t deadline_ms = 0;  ///< Latency budget; 0 = no deadline.
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<PanoramaRequest> Decode(ByteReader& r);
   friend bool operator==(const PanoramaRequest&, const PanoramaRequest&) = default;
+};
+
+template <>
+struct Schema<PanoramaRequest> {
+  static constexpr MessageType kType = MessageType::kPanoramaRequest;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.user_id, m.video_id, m.frame_index, m.mode, m.descriptor,
+             m.viewport, m.deadline_ms);
+  }
 };
 
 struct PanoramaResult {
@@ -220,9 +282,6 @@ struct PanoramaResult {
   std::uint16_t height = 0;  ///< Panorama pixel height.
   ByteVec frame;             ///< Encoded panoramic frame.
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<PanoramaResult> Decode(ByteReader& r);
   friend bool operator==(const PanoramaResult&, const PanoramaResult&) = default;
 };
 
@@ -235,9 +294,18 @@ struct PanoramaResultView {
   std::uint16_t width = 0;
   std::uint16_t height = 0;
   std::span<const std::uint8_t> frame;
-
-  static Result<PanoramaResultView> Decode(ByteReader& r);
 };
+
+template <>
+struct Schema<PanoramaResult> {
+  static constexpr MessageType kType = MessageType::kPanoramaResult;
+  using View = PanoramaResultView;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.video_id, m.frame_index, m.source, m.width, m.height, m.frame);
+  }
+};
+template <>
+struct Schema<PanoramaResultView> : Schema<PanoramaResult> {};
 
 // ---------------------------------------------------------------------------
 // Control / diagnostics
@@ -247,9 +315,13 @@ struct ErrorReply {
   std::uint16_t code = 0;  ///< StatusCode as integer.
   std::string message;
 
-  void Encode(ByteWriter& w) const;
-  static Result<ErrorReply> Decode(ByteReader& r);
   friend bool operator==(const ErrorReply&, const ErrorReply&) = default;
+};
+
+template <>
+struct Schema<ErrorReply> {
+  static constexpr MessageType kType = MessageType::kError;
+  static auto Fields(auto& m, auto&& f) { return f(m.code, m.message); }
 };
 
 // ---------------------------------------------------------------------------
@@ -263,11 +335,16 @@ struct PeerLookupRequest {
   /// kRenderResult or kPanoramaResult).
   MessageType reply_type = MessageType::kRecognitionResult;
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<PeerLookupRequest> Decode(ByteReader& r);
   friend bool operator==(const PeerLookupRequest&,
                          const PeerLookupRequest&) = default;
+};
+
+template <>
+struct Schema<PeerLookupRequest> {
+  static constexpr MessageType kType = MessageType::kPeerLookupRequest;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.descriptor, m.reply_type);
+  }
 };
 
 /// Peer edge -> edge: cached payload if found. A peer never forwards to
@@ -278,9 +355,6 @@ struct PeerLookupReply {
   MessageType reply_type = MessageType::kRecognitionResult;
   ByteVec payload;  ///< Result message body; empty when !found.
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<PeerLookupReply> Decode(ByteReader& r);
   friend bool operator==(const PeerLookupReply&, const PeerLookupReply&) = default;
 };
 
@@ -291,9 +365,22 @@ struct PeerLookupReplyView {
   bool found = false;
   MessageType reply_type = MessageType::kRecognitionResult;
   std::span<const std::uint8_t> payload;
-
-  static Result<PeerLookupReplyView> Decode(ByteReader& r);
 };
+
+template <>
+struct Schema<PeerLookupReply> {
+  static constexpr MessageType kType = MessageType::kPeerLookupReply;
+  using View = PeerLookupReplyView;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.found, m.reply_type, m.payload);
+  }
+  static Status Check(const auto& m) {
+    return FirstViolation({{m.found == m.payload.empty(),
+                            "found flag disagrees with payload"}});
+  }
+};
+template <>
+struct Schema<PeerLookupReplyView> : Schema<PeerLookupReply> {};
 
 /// Edge -> peer edges: a compact, periodically gossiped digest of one
 /// edge's cache content. Content-hash descriptors (render / panorama)
@@ -321,10 +408,25 @@ struct SummaryUpdate {
   };
   std::array<TaskCentroid, 3> centroids;
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<SummaryUpdate> Decode(ByteReader& r);
   friend bool operator==(const SummaryUpdate&, const SummaryUpdate&) = default;
+};
+
+template <>
+struct Schema<SummaryUpdate::TaskCentroid> {
+  static auto Fields(auto& m, auto&& f) { return f(m.count, m.centroid); }
+  static Status Check(const auto& m) {
+    return FirstViolation(
+        {{m.count == 0 && !m.centroid.empty(), "centroid without entries"}});
+  }
+};
+
+template <>
+struct Schema<SummaryUpdate> {
+  static constexpr MessageType kType = MessageType::kSummaryUpdate;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.edge_id, m.version, m.bloom_hashes, m.bloom_inserted,
+             m.bloom_bits, m.centroids);
+  }
 };
 
 /// Edge -> peer edges: the incremental form of SummaryUpdate. Where a
@@ -355,11 +457,23 @@ struct SummaryDeltaUpdate {
   /// SummaryUpdate::centroids.
   std::array<SummaryUpdate::TaskCentroid, 3> centroids;
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<SummaryDeltaUpdate> Decode(ByteReader& r);
   friend bool operator==(const SummaryDeltaUpdate&,
                          const SummaryDeltaUpdate&) = default;
+};
+
+template <>
+struct Schema<SummaryDeltaUpdate> {
+  static constexpr MessageType kType = MessageType::kSummaryDeltaUpdate;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.edge_id, m.version, m.base_version, m.bloom_inserted,
+             m.keys_inserted, m.centroids);
+  }
+  static Status Check(const auto& m) {
+    return FirstViolation(
+        {{m.version <= m.base_version, "delta version not after its base"},
+         {m.bloom_inserted < m.keys_inserted.size(),
+          "delta key count exceeds absolute bloom count"}});
+  }
 };
 
 /// Source-routed edge-to-edge wrapper. Federation topologies need not be
@@ -373,11 +487,31 @@ struct FederatedRelay {
   std::uint8_t ttl = 0;
   ByteVec inner;  ///< A complete encoded envelope for dest_edge.
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<FederatedRelay> Decode(ByteReader& r);
   friend bool operator==(const FederatedRelay&, const FederatedRelay&) = default;
 };
+
+/// Borrowed twin of FederatedRelay: wraps an already-encoded envelope
+/// (`inner`) with one copy of it. Relay hops read relay frames in place
+/// (PeekRelayFrame), so the owning decode stays a plain one-buffer read.
+struct FederatedRelayView {
+  std::uint32_t src_edge = 0;
+  std::uint32_t dest_edge = 0;
+  std::uint8_t ttl = 0;
+  std::span<const std::uint8_t> inner;
+};
+
+template <>
+struct Schema<FederatedRelay> {
+  static constexpr MessageType kType = MessageType::kFederatedRelay;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.src_edge, m.dest_edge, m.ttl, m.inner);
+  }
+  static Status Check(const auto& m) {
+    return FirstViolation({{m.src_edge == m.dest_edge, "relay to self"}});
+  }
+};
+template <>
+struct Schema<FederatedRelayView> : Schema<FederatedRelay> {};
 
 /// Edge -> peer edge: cumulative summary acknowledgement. "I (acker)
 /// currently hold subject_edge's summary at `version`." Piggybacked on
@@ -391,10 +525,19 @@ struct SummaryAck {
   std::uint32_t subject_edge = 0;  ///< Edge whose summary is acknowledged.
   std::uint64_t version = 0;       ///< Highest applied summary version.
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<SummaryAck> Decode(ByteReader& r);
   friend bool operator==(const SummaryAck&, const SummaryAck&) = default;
+};
+
+template <>
+struct Schema<SummaryAck> {
+  static constexpr MessageType kType = MessageType::kSummaryAck;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.acker_edge, m.subject_edge, m.version);
+  }
+  static Status Check(const auto& m) {
+    return FirstViolation(
+        {{m.acker_edge == m.subject_edge, "ack of own summary"}});
+  }
 };
 
 /// Region head -> all other venues: the two-tier federation digest. The
@@ -424,11 +567,24 @@ struct RegionDigestUpdate {
   std::vector<std::uint32_t> member_edges;
   std::vector<std::uint64_t> member_keys;
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<RegionDigestUpdate> Decode(ByteReader& r);
   friend bool operator==(const RegionDigestUpdate&,
                          const RegionDigestUpdate&) = default;
+};
+
+template <>
+struct Schema<RegionDigestUpdate> {
+  static constexpr MessageType kType = MessageType::kRegionDigestUpdate;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.region_id, m.head_edge, m.version, m.bloom_hashes,
+             m.bloom_inserted, m.bloom_bits, m.centroids,
+             MemberHints{m.member_edges, m.member_keys});
+  }
+  static Status Check(const auto& m) {
+    std::uint64_t hinted_keys = 0;  // Wraps like the u64 it is.
+    for (const std::uint64_t keys : m.member_keys) hinted_keys += keys;
+    return FirstViolation({{hinted_keys > m.bloom_inserted,
+                            "member hint keys exceed digest bloom count"}});
+  }
 };
 
 /// One fragment of a message that exceeded the datagram MTU. The
@@ -442,9 +598,6 @@ struct DatagramChunk {
   std::uint16_t chunk_count = 0;  ///< Total chunks (>= 1).
   ByteVec data;                   ///< This fragment's bytes.
 
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<DatagramChunk> Decode(ByteReader& r);
   friend bool operator==(const DatagramChunk&, const DatagramChunk&) = default;
 };
 
@@ -454,9 +607,24 @@ struct DatagramChunkView {
   std::uint16_t chunk_index = 0;
   std::uint16_t chunk_count = 0;
   std::span<const std::uint8_t> data;
-
-  static Result<DatagramChunkView> Decode(ByteReader& r);
 };
+
+template <>
+struct Schema<DatagramChunk> {
+  static constexpr MessageType kType = MessageType::kDatagramChunk;
+  using View = DatagramChunkView;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.chunk_index, m.chunk_count, m.data);
+  }
+  static Status Check(const auto& m) {
+    return FirstViolation(
+        {{m.chunk_count == 0, "chunk count must be >= 1"},
+         {m.chunk_index >= m.chunk_count, "chunk index out of range"},
+         {m.data.empty(), "empty chunk"}});
+  }
+};
+template <>
+struct Schema<DatagramChunkView> : Schema<DatagramChunk> {};
 
 /// Reads the OffloadMode byte of an encoded request payload
 /// (Recognition/Render/PanoramaRequest) at its fixed offset without
@@ -504,9 +672,29 @@ struct CacheStatsReply {
   std::uint64_t bytes_used = 0;
   std::uint64_t bytes_capacity = 0;
 
-  void Encode(ByteWriter& w) const;
-  static Result<CacheStatsReply> Decode(ByteReader& r);
   friend bool operator==(const CacheStatsReply&, const CacheStatsReply&) = default;
 };
+
+template <>
+struct Schema<CacheStatsReply> {
+  static constexpr MessageType kType = MessageType::kCacheStatsReply;
+  static auto Fields(auto& m, auto&& f) {
+    return f(m.hits, m.misses, m.insertions, m.evictions, m.bytes_used,
+             m.bytes_capacity);
+  }
+};
+
+/// The 16 payload messages: every MessageType except the empty-payload
+/// kPing, kPong and kCacheStatsRequest (a proto test enforces this).
+using WireMessages =
+    TypeList<RecognitionRequest, RecognitionResult, RenderRequest,
+             RenderResult, PanoramaRequest, PanoramaResult, ErrorReply,
+             PeerLookupRequest, PeerLookupReply, SummaryUpdate,
+             SummaryDeltaUpdate, FederatedRelay, SummaryAck,
+             RegionDigestUpdate, DatagramChunk, CacheStatsReply>;
+/// Their borrowed twins.
+using WireViews =
+    TypeList<RecognitionResultView, RenderResultView, PanoramaResultView,
+             PeerLookupReplyView, FederatedRelayView, DatagramChunkView>;
 
 }  // namespace coic::proto

@@ -763,9 +763,7 @@ TEST(E2eCrashRejoin, PeersAgeOutADeadEdgeThenRebuildItsViewOnRejoin) {
 // ---------------------------------------------------------------------------
 
 ByteVec EncodeSummaryView(const federation::CacheSummary& summary) {
-  ByteWriter w;
-  summary.ToWire().Encode(w);
-  return w.TakeBytes();
+  return proto::EncodePayload(summary.ToWire());
 }
 
 TEST(E2eChaos, PartitionHealReconvergesByteIdenticalSummaryViews) {

@@ -170,11 +170,9 @@ TEST(PrefetcherTest, WarmUpConvertsFirstRequestToHit) {
         result.model_id = 1;
         result.source = proto::ResultSource::kCloud;
         result.model_bytes.assign(bytes.value().begin(), bytes.value().end());
-        ByteWriter w;
-        result.Encode(w);
         return core::EdgePrefetcher::Fetched{
             proto::FeatureDescriptor::ForHash(proto::TaskKind::kRender, digest),
-            w.TakeBytes()};
+            proto::EncodePayload(result)};
       });
 
   EXPECT_EQ(prefetcher.WarmUp(pipeline.edge(0).mutable_cache(), 4,

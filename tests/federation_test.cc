@@ -248,7 +248,7 @@ TEST(SummaryDeltaTest, ApplyMatchesFullRebuildByteForByte) {
   EXPECT_EQ(from_delta, from_full);
 
   // And the delta frame is what the full frame is not: small.
-  EXPECT_LT(delta.WireSize(), fresh.ToWire().WireSize() / 4);
+  EXPECT_LT(proto::WireSize(delta), proto::WireSize(fresh.ToWire()) / 4);
 }
 
 TEST(SummaryDeltaTest, ApplyRejectsMismatches) {

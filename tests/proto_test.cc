@@ -404,11 +404,6 @@ TEST(MessagesTest, ResultSourceOffsetMatchesThePatchedByte) {
   panorama.source = ResultSource::kCloud;
   panorama.frame = DeterministicBytes(64, 5);
 
-  const auto payload_of = [](const auto& msg) {
-    ByteWriter w;
-    msg.Encode(w);
-    return w.TakeBytes();
-  };
   const auto check = [](MessageType type, ByteVec payload) {
     const auto offset = ResultSourceOffset(type, payload);
     ASSERT_TRUE(offset.ok()) << offset.status().ToString();
@@ -426,9 +421,9 @@ TEST(MessagesTest, ResultSourceOffsetMatchesThePatchedByte) {
       }
     }
   };
-  check(MessageType::kRecognitionResult, payload_of(recognition));
-  check(MessageType::kRenderResult, payload_of(render));
-  check(MessageType::kPanoramaResult, payload_of(panorama));
+  check(MessageType::kRecognitionResult, EncodePayload(recognition));
+  check(MessageType::kRenderResult, EncodePayload(render));
+  check(MessageType::kPanoramaResult, EncodePayload(panorama));
 }
 
 // ---------------------------------------------------------------------------
@@ -527,27 +522,22 @@ TEST(GatheredDecodeTest, EqualsFusedDecodeForEveryResultType) {
 }
 
 TEST(GatheredDecodeTest, ResultBlobOffsetNamesTheBlobBody) {
-  const auto payload_of = [](const auto& msg) {
-    ByteWriter w;
-    msg.Encode(w);
-    return w.TakeBytes();
-  };
   const auto recognition = SampleRecognitionResult();
   const auto render = SampleRenderResult();
   const auto panorama = SamplePanoramaResult();
-  const ByteVec rp = payload_of(recognition);
+  const ByteVec rp = EncodePayload(recognition);
   EXPECT_EQ(ResultBlobOffset(MessageType::kRecognitionResult, rp).value(),
             rp.size() - recognition.annotation.size());
-  const ByteVec mp = payload_of(render);
+  const ByteVec mp = EncodePayload(render);
   EXPECT_EQ(ResultBlobOffset(MessageType::kRenderResult, mp).value(),
             mp.size() - render.model_bytes.size());
-  const ByteVec pp = payload_of(panorama);
+  const ByteVec pp = EncodePayload(panorama);
   EXPECT_EQ(ResultBlobOffset(MessageType::kPanoramaResult, pp).value(),
             pp.size() - panorama.frame.size());
 
   // An empty blob: the offset is the payload's end.
   RenderResult empty;
-  EXPECT_EQ(ResultBlobOffset(MessageType::kRenderResult, payload_of(empty))
+  EXPECT_EQ(ResultBlobOffset(MessageType::kRenderResult, EncodePayload(empty))
                 .value(),
             13u);
 
@@ -675,46 +665,171 @@ TEST(MessagesTest, FederatedRelayRejectsSelfDestination) {
                    .ok());
 }
 
+// ---------------------------------------------------------------------------
+// Round-trip property over every described type
+// ---------------------------------------------------------------------------
+
+/// Fills any described type's fields with seeded random values, redrawing
+/// a struct until its schema's cross-field Check accepts it.
+struct RandomFiller {
+  Rng& rng;
+
+  /// Half the draws small (so cross-field rules hold often), half any.
+  std::uint64_t Draw() {
+    return rng.NextBelow(2) == 0 ? rng.NextBelow(8) : rng.NextU64();
+  }
+  std::size_t Length(std::size_t max) { return rng.NextBelow(max + 1); }
+
+  template <std::unsigned_integral T>
+  void operator()(T& v) { v = static_cast<T>(Draw()); }
+  void operator()(bool& v) { v = rng.NextBelow(2) == 1; }
+  void operator()(float& v) { v = static_cast<float>(rng.NextDouble() - 0.5); }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void operator()(E& v) {
+    do {
+      v = static_cast<E>(rng.NextBelow(64));
+    } while (!InWireRange(v));
+  }
+  void operator()(std::string& v) {
+    v.resize(Length(12));
+    for (char& c : v) c = static_cast<char>('a' + rng.NextBelow(26));
+  }
+  void operator()(ByteVec& v) {
+    v = DeterministicBytes(Length(48), rng.NextU64());
+  }
+  void operator()(std::vector<float>& v) {
+    v.resize(Length(5));
+    for (float& f : v) (*this)(f);
+  }
+  void operator()(std::vector<std::uint64_t>& v) {
+    v.resize(Length(5));
+    for (std::uint64_t& x : v) x = Draw();
+  }
+  void operator()(FeatureDescriptor& d) {
+    const auto task = static_cast<TaskKind>(rng.NextBelow(3));
+    if (rng.NextBelow(2) == 0) {
+      std::vector<float> vec(1 + Length(7));
+      for (float& f : vec) (*this)(f);
+      d = FeatureDescriptor::ForVector(task, std::move(vec));
+    } else {
+      d = FeatureDescriptor::ForHash(
+          task, Digest128{rng.NextU64(), rng.NextU64() | 1});
+    }
+  }
+  template <typename T, std::size_t N>
+  void operator()(std::array<T, N>& a) {
+    for (T& x : a) (*this)(x);
+  }
+  template <typename E, typename K>
+  void operator()(MemberHints<E, K>&& h) {
+    h.edges.resize(Length(3));
+    h.keys.resize(h.edges.size());
+    for (std::size_t i = 0; i < h.edges.size(); ++i) {
+      (*this)(h.edges[i]);
+      h.keys[i] = Draw();
+    }
+  }
+  template <Described M>
+  void operator()(M& m) {
+    do {
+      Schema<M>::Fields(m, [this](auto&&... f) {
+        ((*this)(std::forward<decltype(f)>(f)), ...);
+      });
+    } while (!Checks(m));
+  }
+  template <typename M>
+  static bool Checks(const M& m) {
+    if constexpr (requires { Schema<M>::Check(m); }) {
+      return Schema<M>::Check(m).ok();
+    }
+    return true;
+  }
+};
+
+/// View twin V of `m` (encoded in `frame`) decodes to the owning decode's
+/// fields, from the fused frame and from the gathered one whose tail is
+/// the final blob's body. The owning decode takes a tail too, except for
+/// FederatedRelay: relay frames are never gathered, and its owning decode
+/// reads one buffer.
+template <typename M, typename V>
+void ExpectViewMatchesOwning(const M& m, const ByteVec& frame) {
+  const auto fused_env = DecodeEnvelopeView(frame);
+  ASSERT_TRUE(fused_env.ok());
+  const auto view = DecodePayloadAs<V>(fused_env.value(), Schema<M>::kType);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(EncodePayload(view.value()), EncodePayload(m));
+
+  const std::size_t tail_size =
+      Schema<V>::Fields(view.value(), [](const auto&... f) {
+        return std::get<sizeof...(f) - 1>(std::tie(f...)).size();
+      });
+  const auto split = static_cast<std::ptrdiff_t>(frame.size() - tail_size);
+  const ByteVec head(frame.begin(), frame.begin() + split);
+  const ByteVec tail(frame.begin() + split, frame.end());
+  const auto env = DecodeEnvelopeView(head, tail);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  const auto gathered_view = DecodePayloadAs<V>(env.value(), Schema<M>::kType);
+  ASSERT_TRUE(gathered_view.ok()) << gathered_view.status().ToString();
+  EXPECT_EQ(EncodePayload(gathered_view.value()), EncodePayload(m));
+  const auto gathered = DecodePayloadAs<M>(env.value(), Schema<M>::kType);
+  if (!std::is_same_v<M, FederatedRelay> || tail.empty()) {
+    ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
+    EXPECT_EQ(gathered.value(), m);
+  } else {
+    EXPECT_FALSE(gathered.ok());
+  }
+}
+
 TEST(MessagesTest, WireSizeMatchesEncodedSize) {
-  RecognitionRequest rec;
-  rec.descriptor = SampleVectorDescriptor();
-  rec.image = DeterministicBytes(100, 1);
-  ByteWriter w1;
-  rec.Encode(w1);
-  EXPECT_EQ(rec.WireSize(), w1.size());
+  // Seeded random instances of every described message: WireSize is the
+  // encoded size, decode(encode(x)) == x, and every view twin decodes the
+  // same fields from the fused and the gathered frame.
+  Rng rng(0x5EED15);
+  RandomFiller fill{rng};
+  ForEachType(WireMessages{}, [&](auto message) {
+    using M = typename decltype(message)::type;
+    SCOPED_TRACE(std::string(MessageTypeName(Schema<M>::kType)));
+    for (int i = 0; i < 64; ++i) {
+      M m;
+      fill(m);
+      const ByteVec frame = EncodeMessage(Schema<M>::kType, 77, m);
+      EXPECT_EQ(kEnvelopeHeaderSize + WireSize(m), frame.size());
+      EXPECT_EQ(EncodePayload(m).size(), WireSize(m));
+      EXPECT_EQ(RoundTrip(m, Schema<M>::kType), m);
+      ForEachType(WireViews{}, [&](auto twin) {
+        using V = typename decltype(twin)::type;
+        if constexpr (std::is_base_of_v<Schema<M>, Schema<V>>) {
+          ExpectViewMatchesOwning<M, V>(m, frame);
+        }
+      });
+    }
+  });
+}
 
-  SummaryUpdate su;
-  su.bloom_hashes = 4;
-  su.bloom_bits = DeterministicBytes(256, 4);
-  su.centroids[2].count = 2;
-  su.centroids[2].centroid = {0.1f, 0.2f};
-  ByteWriter w4;
-  su.Encode(w4);
-  EXPECT_EQ(su.WireSize(), w4.size());
+TEST(MessagesTest, EveryPayloadMessageTypeIsDescribedOnce) {
+  for (unsigned raw = 0; raw < 256; ++raw) {
+    const auto type = static_cast<MessageType>(raw);
+    if (MessageTypeName(type) == "Unknown") continue;
+    int described = 0;
+    ForEachType(WireMessages{}, [&](auto message) {
+      described += Schema<typename decltype(message)::type>::kType == type;
+    });
+    const bool empty_payload = type == MessageType::kPing ||
+                               type == MessageType::kPong ||
+                               type == MessageType::kCacheStatsRequest;
+    EXPECT_EQ(described, empty_payload ? 0 : 1) << MessageTypeName(type);
+  }
+}
 
-  RenderResult rr;
-  rr.model_bytes = DeterministicBytes(555, 2);
-  ByteWriter w2;
-  rr.Encode(w2);
-  EXPECT_EQ(rr.WireSize(), w2.size());
-
-  PanoramaResult pr;
-  pr.frame = DeterministicBytes(321, 3);
-  ByteWriter w3;
-  pr.Encode(w3);
-  EXPECT_EQ(pr.WireSize(), w3.size());
-
-  RegionDigestUpdate rd;
-  rd.bloom_hashes = 4;
-  rd.bloom_inserted = 6;
-  rd.bloom_bits = DeterministicBytes(128, 5);
-  rd.centroids[0].count = 3;
-  rd.centroids[0].centroid = {0.5f, 0.25f, -0.125f};
-  rd.member_edges = {1, 4, 7};
-  rd.member_keys = {2, 2, 2};
-  ByteWriter w5;
-  rd.Encode(w5);
-  EXPECT_EQ(rd.WireSize(), w5.size());
+TEST(MessagesDeathTest, RegionDigestMemberListsMustMatchInLength) {
+  RegionDigestUpdate digest;
+  digest.bloom_inserted = 9;
+  digest.member_edges = {1, 4};
+  digest.member_keys = {2};
+  EXPECT_DEATH(
+      (void)EncodeMessage(MessageType::kRegionDigestUpdate, 1, digest),
+      "member_edges and member_keys differ in length");
 }
 
 // ---------------------------------------------------------------------------
@@ -811,7 +926,7 @@ TEST(EnvelopeTest, DecodePayloadAsRejectsTrailingBytes) {
   ErrorReply err;
   err.message = "x";
   ByteWriter w;
-  err.Encode(w);
+  EncodePayload(w, err);
   ByteVec payload = w.TakeBytes();
   payload.push_back(0xAA);  // trailing junk inside the payload
   const ByteVec frame = EncodeEnvelope(MessageType::kError, 1, payload);
@@ -960,14 +1075,14 @@ TEST(ResultSourcePatchTest, InPlacePatchIsByteIdenticalToReEncode) {
 
   const auto check = [](auto msg, MessageType type) {
     ByteWriter w;
-    msg.Encode(w);
+    EncodePayload(w, msg);
     ByteVec patched(w.bytes().begin(), w.bytes().end());
     ASSERT_TRUE(
         PatchResultSourceInPlace(type, patched, ResultSource::kPeerEdge));
 
     msg.source = ResultSource::kPeerEdge;
     ByteWriter expected;
-    msg.Encode(expected);
+    EncodePayload(expected, msg);
     EXPECT_EQ(patched, ByteVec(expected.bytes().begin(),
                                expected.bytes().end()));
   };
@@ -1308,8 +1423,8 @@ TEST(FuzzDecodeTest, RandomPayloadsUnderValidHeadersNeverCrash) {
 // ---------------------------------------------------------------------------
 // Borrowed-view decode layer (the zero-copy client receive path). The
 // view decoders must accept exactly what the owning decoders accept and
-// expose byte-identical fields — the owning forms are thin wrappers, and
-// these tests keep the pair pinned together.
+// expose byte-identical fields — the owning forms decode through the
+// views, and these tests keep the pair pinned together.
 // ---------------------------------------------------------------------------
 
 TEST(ViewDecodeTest, EnvelopeViewMatchesOwningEnvelope) {
@@ -1407,7 +1522,7 @@ TEST(ViewDecodeTest, ViewDecodersRejectEveryTruncatedPayloadPrefix) {
     using M = decltype(tag);
     for (std::size_t n = 0; n < payload.size(); ++n) {
       ByteReader r(payload.subspan(0, n));
-      auto decoded = M::Decode(r);
+      auto decoded = DecodePayload<M>(r);
       EXPECT_FALSE(decoded.ok() && r.AtEnd())
           << MessageTypeName(type) << " view prefix " << n << " decoded";
     }
@@ -1481,19 +1596,19 @@ TEST(ViewDecodeTest, ViewDecodersSurviveRandomPayloads) {
     const ByteVec payload = DeterministicBytes(rng.NextBelow(160), rng.NextU64());
     {
       ByteReader r(payload);
-      (void)RecognitionResultView::Decode(r);
+      (void)DecodePayload<RecognitionResultView>(r);
     }
     {
       ByteReader r(payload);
-      (void)RenderResultView::Decode(r);
+      (void)DecodePayload<RenderResultView>(r);
     }
     {
       ByteReader r(payload);
-      (void)PanoramaResultView::Decode(r);
+      (void)DecodePayload<PanoramaResultView>(r);
     }
     {
       ByteReader r(payload);
-      (void)PeerLookupReplyView::Decode(r);
+      (void)DecodePayload<PeerLookupReplyView>(r);
     }
   }
 }

@@ -185,9 +185,8 @@ TEST(EdgeServiceTest, PeerLookupAnsweredFromCache) {
   proto::RenderResult cached;
   cached.model_id = 1;
   cached.model_bytes = DeterministicBytes(64, 2);
-  ByteWriter w;
-  cached.Encode(w);
-  edge.mutable_cache().Insert(key, w.TakeBytes(), SimTime::Epoch());
+  edge.mutable_cache().Insert(key, proto::EncodePayload(cached),
+                              SimTime::Epoch());
 
   proto::PeerLookupRequest query;
   query.descriptor = key;
@@ -394,8 +393,8 @@ TEST(FrameFabricTest, OriginForwardSharesTheClientFrame) {
 }
 
 TEST(FrameFabricTest, PeerLookupReplyByteIdenticalToStructEncode) {
-  // HandlePeerLookupRequest writes the reply envelope in one buffer;
-  // pin its layout to PeerLookupReply::Encode.
+  // HandlePeerLookupRequest encodes the reply through the borrowed
+  // view; pin it to the owning struct's encode.
   FakeWire wire;
   auto edge = MakeEdge(wire, /*cooperative=*/true);
   const auto key = proto::FeatureDescriptor::ForHash(proto::TaskKind::kRender,
@@ -403,9 +402,7 @@ TEST(FrameFabricTest, PeerLookupReplyByteIdenticalToStructEncode) {
   proto::RenderResult cached;
   cached.model_id = 1;
   cached.model_bytes = DeterministicBytes(64, 2);
-  ByteWriter w;
-  cached.Encode(w);
-  const ByteVec cached_payload = w.TakeBytes();
+  const ByteVec cached_payload = proto::EncodePayload(cached);
   edge.mutable_cache().Insert(key, ByteVec(cached_payload), SimTime::Epoch());
 
   proto::PeerLookupRequest query;
@@ -424,8 +421,8 @@ TEST(FrameFabricTest, PeerLookupReplyByteIdenticalToStructEncode) {
 }
 
 TEST(FrameFabricTest, CloudRecognitionReplyByteIdenticalToStructEncode) {
-  // HandleRecognition writes header + result fields + shared annotation
-  // into one buffer; pin that layout to RecognitionResult::Encode.
+  // HandleRecognition encodes the result through the borrowed view with
+  // the shared annotation; pin it to the owning struct's encode.
   FakeWire wire;
   auto cloud = MakeCloud(wire);
   const auto req = CoicRecognitionRequest(2);
@@ -1097,12 +1094,10 @@ TEST(AdoptionFilterTest, LowReusePeerHitsAreServedButNotAdopted) {
   peer_result.frame_id = 7;
   peer_result.label = "object_6";
   peer_result.annotation = DeterministicBytes(64, 6);
-  ByteWriter w;
-  peer_result.Encode(w);
   proto::PeerLookupReply hit;
   hit.found = true;
   hit.reply_type = MessageType::kRecognitionResult;
-  hit.payload = w.TakeBytes();
+  hit.payload = proto::EncodePayload(peer_result);
 
   // First use of the key: the peer hit serves the client but is NOT
   // copied into the local cache — a 1-hop neighbor already holds it.
@@ -1142,12 +1137,10 @@ TEST(AdoptionFilterTest, DefaultConfigAdoptsEveryPeerHit) {
   peer_result.frame_id = 7;
   peer_result.label = "object_7";
   peer_result.annotation = DeterministicBytes(32, 7);
-  ByteWriter w;
-  peer_result.Encode(w);
   proto::PeerLookupReply hit;
   hit.found = true;
   hit.reply_type = MessageType::kRecognitionResult;
-  hit.payload = w.TakeBytes();
+  hit.payload = proto::EncodePayload(peer_result);
 
   edge.OnClientFrame(
       proto::EncodeMessage(MessageType::kRecognitionRequest, 7, req));
