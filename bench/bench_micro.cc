@@ -227,13 +227,16 @@ BENCHMARK(BM_SimilarityLookupLinearVsLsh)
 // --------------------------------- vision ----------------------------------
 
 void BM_SyntheticImageGenerate(benchmark::State& state) {
+  const auto raster = static_cast<std::uint32_t>(state.range(0));
   std::uint64_t scene = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        vision::SyntheticImage::Generate({.scene_id = ++scene}));
+    benchmark::DoNotOptimize(vision::SyntheticImage::Generate(
+        {.scene_id = ++scene, .width = raster, .height = raster}));
   }
 }
-BENCHMARK(BM_SyntheticImageGenerate);
+// 32 px is the raster the throughput benchmark feeds the extractor; 96 px
+// is the DNN-input default the figure reproductions use.
+BENCHMARK(BM_SyntheticImageGenerate)->Arg(32)->Arg(96);
 
 void BM_FeatureExtract(benchmark::State& state) {
   const vision::FeatureExtractor extractor;

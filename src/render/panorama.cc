@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -23,15 +24,24 @@ Panorama Panorama::Generate(std::uint64_t video_id, std::uint32_t frame_index,
   const double k1 = 1.0 + static_cast<double>(SplitMix64(s) % 5);
   const double k2 = 2.0 + static_cast<double>(SplitMix64(s) % 7);
   const double phase = 0.05 * frame_index;
+  // Column-only and row-only terms are evaluated once per column / row;
+  // each is the same expression the per-pixel formula would compute, so
+  // frames are bit-identical to evaluating everything per pixel.
+  std::vector<double> lon(width), lon_wave(width);
+  for (std::uint16_t x = 0; x < width; ++x) {
+    lon[x] = 2 * kPi * (static_cast<double>(x) + 0.5) / width - kPi;
+    lon_wave[x] = std::sin(k1 * lon[x] + phase);
+  }
   for (std::uint16_t y = 0; y < height; ++y) {
     const double lat = kPi * (static_cast<double>(y) + 0.5) / height - kPi / 2;
+    const double lat_wave = std::cos(k2 * lat);
+    const double band = std::cos((k1 + k2) * lat - phase);
+    const double cos_lat = std::cos(lat);
+    float* const out = pixels.data() + static_cast<std::size_t>(y) * width;
     for (std::uint16_t x = 0; x < width; ++x) {
-      const double lon = 2 * kPi * (static_cast<double>(x) + 0.5) / width - kPi;
-      double v = 0.5 + 0.25 * std::sin(k1 * lon + phase) * std::cos(k2 * lat) +
-                 0.15 * std::cos((k1 + k2) * lat - phase) +
-                 0.10 * std::sin(3.0 * lon * std::cos(lat));
-      pixels[static_cast<std::size_t>(y) * width + x] =
-          static_cast<float>(std::clamp(v, 0.0, 1.0));
+      const double v = 0.5 + 0.25 * lon_wave[x] * lat_wave + 0.15 * band +
+                 0.10 * std::sin(3.0 * lon[x] * cos_lat);
+      out[x] = static_cast<float>(std::clamp(v, 0.0, 1.0));
     }
   }
   return Panorama(video_id, frame_index, width, height, std::move(pixels));
@@ -47,20 +57,18 @@ float Panorama::at(std::int32_t x, std::int32_t y) const noexcept {
 }
 
 ByteVec Panorama::Encode() const {
-  ByteVec out;
-  out.reserve(pixels_.size() + 16);
   ByteWriter w(pixels_.size() + 16);
   w.WriteU64(video_id_);
   w.WriteU32(frame_index_);
   w.WriteU16(width_);
   w.WriteU16(height_);
-  for (const float p : pixels_) {
-    out.push_back(static_cast<std::uint8_t>(
-        std::clamp(p * 255.0f, 0.0f, 255.0f)));
-  }
-  ByteVec header = w.TakeBytes();
-  header.insert(header.end(), out.begin(), out.end());
-  return header;
+  ByteVec out = w.TakeBytes();
+  std::transform(pixels_.begin(), pixels_.end(), std::back_inserter(out),
+                 [](float p) {
+                   return static_cast<std::uint8_t>(
+                       std::clamp(p * 255.0f, 0.0f, 255.0f));
+                 });
+  return out;
 }
 
 Digest128 Panorama::ContentHash() const {

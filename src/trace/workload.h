@@ -64,8 +64,9 @@ struct WorkloadConfig {
   /// Raster fed to the feature extractor (SceneParams width/height). The
   /// figure reproductions keep the DNN-input default; throughput replays
   /// may shrink it — descriptor geometry (same-scene views stay nearby)
-  /// is preserved at any raster, and per-request generation cost scales
-  /// with its square.
+  /// is preserved at any raster. Per-request generation cost is mostly
+  /// linear in it (transcendentals per row and column), plus a small
+  /// per-pixel multiply-add term.
   std::uint32_t scene_raster = 96;
   std::uint64_t seed = 7;
 };

@@ -24,12 +24,18 @@ std::vector<float> FeatureExtractor::Pool(const SyntheticImage& image) const {
   const std::uint32_t g = config_.grid;
   std::vector<float> pooled(static_cast<std::size_t>(g) * g, 0.0f);
   std::vector<std::uint32_t> counts(pooled.size(), 0);
+  // Each column's cell is fixed across rows; the cells still accumulate in
+  // row-major pixel order, so the pooled sums are unchanged.
+  std::vector<std::uint32_t> cell_x(image.width());
+  for (std::uint32_t x = 0; x < image.width(); ++x) {
+    cell_x[x] = x * g / image.width();
+  }
+  const float* pixel = image.pixels().data();
   for (std::uint32_t y = 0; y < image.height(); ++y) {
-    const std::uint32_t cy = y * g / image.height();
+    const std::size_t row_cell = static_cast<std::size_t>(y * g / image.height()) * g;
     for (std::uint32_t x = 0; x < image.width(); ++x) {
-      const std::uint32_t cx = x * g / image.width();
-      pooled[static_cast<std::size_t>(cy) * g + cx] += image.at(x, y);
-      ++counts[static_cast<std::size_t>(cy) * g + cx];
+      pooled[row_cell + cell_x[x]] += *pixel++;
+      ++counts[row_cell + cell_x[x]];
     }
   }
   for (std::size_t i = 0; i < pooled.size(); ++i) {

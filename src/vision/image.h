@@ -41,7 +41,8 @@ struct SceneParams {
 class SyntheticImage {
  public:
   /// Deterministically renders the scene. Identical params produce
-  /// identical pixels on every platform.
+  /// identical pixels wherever the same libm `exp`/`sin`/`cos` is linked;
+  /// other libms may differ in the last float ulp.
   static SyntheticImage Generate(const SceneParams& params);
 
   [[nodiscard]] std::uint32_t width() const noexcept { return width_; }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
+#include "common/hash.h"
 #include "render/loader.h"
 #include "render/mesh.h"
 #include "render/model.h"
@@ -250,6 +252,20 @@ TEST(PanoramaTest, EncodeContainsHeaderAndPixels) {
   const auto pano = Panorama::Generate(2, 3, 64, 32);
   const ByteVec encoded = pano.Encode();
   EXPECT_EQ(encoded.size(), 16u + 64u * 32u);
+}
+
+// Pins the encoded frame bytes (header and quantized pixels) of a few
+// frames at the default and a small raster. Edge caching of panoramas
+// relies on every node producing these bytes; the pin holds for the libm
+// it was recorded with.
+TEST(PanoramaTest, EncodedFramesPinned) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const auto& [video, frame] :
+       {std::pair{1ull, 0u}, {1ull, 7u}, {3ull, 120u}, {42ull, 999u}}) {
+    digest = Fnv1a64(Panorama::Generate(video, frame).Encode(), digest);
+  }
+  digest = Fnv1a64(Panorama::Generate(9, 33, 64, 32).Encode(), digest);
+  EXPECT_EQ(digest, 0xb0cc3be751348bb3ULL);
 }
 
 TEST(CropperTest, CenterViewportSamplesForwardDirection) {

@@ -3,8 +3,14 @@
 // recognition model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/hash.h"
+#include "common/rng.h"
 #include "vision/features.h"
 #include "vision/image.h"
 #include "vision/recognition.h"
@@ -105,6 +111,136 @@ TEST(ImageTest, ContentHashMatchesAcrossIdenticalViews) {
   params.scene_id = 31;
   EXPECT_EQ(SyntheticImage::Generate(params).ContentHash(),
             SyntheticImage::Generate(params).ContentHash());
+}
+
+// ---------------------------------------------------------------------------
+// Generate against the per-pixel reference
+// ---------------------------------------------------------------------------
+
+// The scene model written out per pixel: every blob's Gaussian and the
+// texture term evaluated at each pixel's inverse-rotated scene point.
+// Generate factors this into per-row and per-column tables; the blob
+// layout and texture key below repeat image.cc's private derivation.
+std::vector<float> ReferencePixels(const SceneParams& params) {
+  struct Blob {
+    double cx, cy, sigma, amplitude;
+  };
+  Rng rng(params.scene_id * 0x9E3779B97F4A7C15ULL + 0xC01C);
+  std::vector<Blob> blobs(6 + rng.NextBelow(5));
+  for (auto& b : blobs) {
+    b.cx = rng.NextDouble() * 1.4 - 0.7;
+    b.cy = rng.NextDouble() * 1.4 - 0.7;
+    b.sigma = 0.08 + rng.NextDouble() * 0.25;
+    b.amplitude = 0.35 + rng.NextDouble() * 0.65;
+  }
+  std::uint64_t key_state = params.scene_id ^ 0xA5A5A5A5DEADBEEFULL;
+  const std::uint64_t tex = SplitMix64(key_state);
+
+  const double theta = params.view_angle_deg * 3.14159265358979323846 / 180.0;
+  const double cos_t = std::cos(theta);
+  const double sin_t = std::sin(theta);
+  const double zoom = 1.0 / params.distance;
+  std::vector<float> pixels(static_cast<std::size_t>(params.width) *
+                            params.height);
+  for (std::uint32_t y = 0; y < params.height; ++y) {
+    const double py = 2.0 * (y + 0.5) / params.height - 1.0;
+    for (std::uint32_t x = 0; x < params.width; ++x) {
+      const double px = 2.0 * (x + 0.5) / params.width - 1.0;
+      const double sx = (px * cos_t + py * sin_t) / zoom;
+      const double sy = (-px * sin_t + py * cos_t) / zoom;
+      double v = 0;
+      for (const Blob& b : blobs) {
+        const double dx = sx - b.cx;
+        const double dy = sy - b.cy;
+        v += b.amplitude *
+             std::exp(-(dx * dx + dy * dy) / (2 * b.sigma * b.sigma));
+      }
+      v += 0.05 * std::sin(7.0 * sx + static_cast<double>(tex & 7)) *
+           std::cos(5.0 * sy + static_cast<double>((tex >> 3) & 7));
+      v *= params.illumination;
+      pixels[static_cast<std::size_t>(y) * params.width + x] =
+          static_cast<float>(std::clamp(v, 0.0, 4.0));
+    }
+  }
+  return pixels;
+}
+
+// The view grid the reference checks sweep: the trace's jitter range and
+// beyond, at the extraction raster, perfbench's 32 px, the minimum 8 px
+// and a non-square raster.
+std::vector<SceneParams> ReferenceGrid() {
+  std::vector<SceneParams> grid;
+  const std::pair<std::uint32_t, std::uint32_t> rasters[] = {
+      {8, 8}, {32, 32}, {96, 96}, {64, 48}};
+  for (const auto& [w, h] : rasters) {
+    for (const std::uint64_t scene : {1ull, 7ull, 42ull, 1234ull}) {
+      for (const double angle : {-20.0, -7.5, 0.0, 13.0, 20.0}) {
+        for (const double distance : {0.6, 1.0, 1.4}) {
+          for (const double illumination : {0.8, 1.2}) {
+            grid.push_back({.scene_id = scene,
+                            .view_angle_deg = angle,
+                            .distance = distance,
+                            .illumination = illumination,
+                            .width = w,
+                            .height = h});
+          }
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+TEST(ImageTest, GenerateMatchesPerPixelReference) {
+  for (const SceneParams& params : ReferenceGrid()) {
+    const auto image = SyntheticImage::Generate(params);
+    const auto reference = ReferencePixels(params);
+    ASSERT_EQ(image.pixels().size(), reference.size());
+    double worst = 0;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      worst = std::max(worst, std::abs(static_cast<double>(image.pixels()[i]) -
+                                       reference[i]));
+    }
+    EXPECT_LE(worst, 1e-6) << "scene " << params.scene_id << " angle "
+                           << params.view_angle_deg << " distance "
+                           << params.distance << " raster " << params.width
+                           << "x" << params.height;
+  }
+}
+
+TEST(ImageTest, ReferenceImagesClassifyLikeGeneratedOnes) {
+  const FeatureExtractor extractor;
+  std::vector<ObjectClass> classes;
+  for (std::uint64_t c = 1; c <= 50; ++c) {
+    classes.push_back({c, "object_" + std::to_string(c)});
+  }
+  const RecognitionModel model(std::move(classes), extractor);
+  for (const SceneParams& params : ReferenceGrid()) {
+    const auto generated = model.Classify(SyntheticImage::Generate(params));
+    const auto reference =
+        model.Classify(SyntheticImage::FromPixels(params, ReferencePixels(params)));
+    EXPECT_EQ(generated.label, reference.label)
+        << "scene " << params.scene_id << " angle " << params.view_angle_deg;
+  }
+}
+
+// Pins the feature extractor's pooling and projection bit for bit: the
+// digest of descriptors extracted from reference images. Like every
+// golden pin in the suite it holds for the libm it was recorded with.
+TEST(FeatureTest, ReferenceDescriptorsPinned) {
+  const FeatureExtractor extractor;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const SceneParams& params :
+       {SceneParams{.scene_id = 3},
+        SceneParams{.scene_id = 11, .view_angle_deg = -6, .distance = 0.9},
+        SceneParams{.scene_id = 5, .view_angle_deg = 4, .width = 32, .height = 32},
+        SceneParams{.scene_id = 77, .illumination = 1.1, .width = 64, .height = 48}}) {
+    const auto desc =
+        extractor.Extract(SyntheticImage::FromPixels(params, ReferencePixels(params)));
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(desc.data());
+    digest = Fnv1a64({bytes, desc.size() * sizeof(float)}, digest);
+  }
+  EXPECT_EQ(digest, 0xd733480c11bdd913ULL);
 }
 
 // ---------------------------------------------------------------------------
