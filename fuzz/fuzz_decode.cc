@@ -9,14 +9,16 @@
 // be rejected with Status, but must never crash, over-read, or trip UB.
 //
 // Every input is also decoded as a gathered frame (two segments, as an
-// edge sends a cache-hit reply), split at two places:
-//   * the final-blob boundary (ResultBlobOffset) of a result frame: the
+// edge sends a cache-hit reply), split at three places:
+//   * the final-blob boundary (ResultBlobOffset) of a result frame, and
+//   * the end of the envelope header (the header-only head a cloud
+//     result reply travels as, its tail the whole payload): at both the
 //     gathered decode must accept exactly when the fused decode does,
 //     with equal fields;
 //   * an offset the fuzzer picks (the low 32 bits of the request id,
 //     which no decoder validates): the gathered decode may only accept
 //     what the fused decode accepts, with equal fields — anywhere but
-//     the blob boundary that means it fails cleanly.
+//     those two splits that means it fails cleanly.
 //
 // Tier-1 replays the seed corpus and every prefix of each seed through
 // LLVMFuzzerTestOneInput with the default compiler
@@ -61,11 +63,12 @@ void Require(bool property) {
 
 /// Decodes `frame` split at `split` (head = frame[0, split), tail = the
 /// rest) as result type M, next to the fused decode of the same bytes.
-/// A gathered accept implies a fused accept with equal fields and a
-/// split at the blob boundary; at that boundary the converse holds too.
+/// A gathered accept implies a fused accept with equal fields and an
+/// exact split (the blob boundary or the header end); at an exact split
+/// the converse holds too.
 template <typename M, typename View>
 void CheckGathered(std::span<const std::uint8_t> frame, std::size_t split,
-                   bool at_blob_boundary) {
+                   bool exact_split) {
   const auto gathered_env =
       DecodeEnvelopeView(frame.first(split), frame.subspan(split));
   const auto fused_env = DecodeEnvelopeView(frame);
@@ -75,15 +78,15 @@ void CheckGathered(std::span<const std::uint8_t> frame, std::size_t split,
   (void)DecodePayloadAs<View>(gathered_env.value(), type);
   const auto gathered = DecodePayloadAs<M>(gathered_env.value(), type);
   const auto fused = DecodePayloadAs<M>(fused_env.value(), type);
-  if (at_blob_boundary) Require(gathered.ok() == fused.ok());
+  if (exact_split) Require(gathered.ok() == fused.ok());
   if (gathered.ok()) {
     Require(fused.ok());
     // Equal encodings: field equality that is exact for floats (NaN
     // confidences included).
     Require(EncodePayload(gathered.value()) == EncodePayload(fused.value()));
-    // Only the final blob may ride the tail (an empty tail is the fused
-    // decode itself).
-    Require(at_blob_boundary || split == frame.size());
+    // Only the final blob, or the whole payload, may ride the tail (an
+    // empty tail is the fused decode itself).
+    Require(exact_split || split == frame.size());
   }
 }
 
@@ -95,12 +98,15 @@ void CheckGatheredSplits(std::span<const std::uint8_t> frame,
   if (blob.ok()) {
     CheckGathered<M, View>(frame, kEnvelopeHeaderSize + blob.value(), true);
   }
+  CheckGathered<M, View>(frame, kEnvelopeHeaderSize, true);
   std::uint32_t pick = 0;
   std::memcpy(&pick, frame.data() + 8, 4);
   const std::size_t span = frame.size() - kEnvelopeHeaderSize + 1;
   const std::size_t split = kEnvelopeHeaderSize + pick % span;
   CheckGathered<M, View>(
-      frame, split, blob.ok() && split == kEnvelopeHeaderSize + blob.value());
+      frame, split,
+      split == kEnvelopeHeaderSize ||
+          (blob.ok() && split == kEnvelopeHeaderSize + blob.value()));
 }
 
 }  // namespace

@@ -160,7 +160,8 @@ std::vector<Seed> SeedCorpus() {
 
   // Split frames: result frames whose request id (the fuzzer's split
   // pick, see fuzz_decode.cc) names their final-blob boundary, one byte
-  // before it (inside the length prefix) and one byte after it.
+  // before it (inside the length prefix) and one byte after it, plus
+  // the header-only split (pick 0) a cloud result reply travels as.
   const auto add_splits = [&](const std::string& name, MessageType type,
                               const auto& msg) {
     const ByteVec frame = EncodeMessage(type, 0, msg);
@@ -176,6 +177,7 @@ std::vector<Seed> SeedCorpus() {
       add(name + "_split" + std::to_string(delta),
           EncodeMessage(type, pick, msg));
     }
+    add(name + "_header_only", EncodeMessage(type, 0, msg));
   };
   add_splits("recognition_result", MessageType::kRecognitionResult,
              recognition_result);

@@ -123,6 +123,12 @@ Status ByteReader::Skip(std::size_t n) noexcept {
 
 ByteVec DeterministicBytes(std::size_t size, std::uint64_t seed) {
   ByteVec out(size);
+  FillDeterministicBytes(out, seed);
+  return out;
+}
+
+void FillDeterministicBytes(std::span<std::uint8_t> out, std::uint64_t seed) {
+  const std::size_t size = out.size();
   Rng rng(seed);
   std::size_t i = 0;
   while (i + 8 <= size) {
@@ -134,7 +140,6 @@ ByteVec DeterministicBytes(std::size_t size, std::uint64_t seed) {
     const std::uint64_t word = rng.NextU64();
     std::memcpy(out.data() + i, &word, size - i);
   }
-  return out;
 }
 
 }  // namespace coic

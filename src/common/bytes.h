@@ -77,6 +77,15 @@ class ByteWriter {
     for (const std::uint64_t x : v) WriteU64(x);
   }
 
+  /// Appends `n` zero bytes and returns them, for producers that fill
+  /// their output in place (quantized rasters, deterministic padding)
+  /// instead of through a temporary buffer.
+  [[nodiscard]] std::span<std::uint8_t> Extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return std::span<std::uint8_t>(buf_).subspan(at);
+  }
+
   /// Overwrites 4 already-written bytes at `offset` (little-endian).
   /// Lets encoders emit a length placeholder and fix it up afterwards,
   /// avoiding a separate payload buffer + copy on the envelope hot path.
@@ -209,5 +218,9 @@ class ByteReader {
 /// of exactly `size` bytes (used to fabricate payloads whose ContentDigest
 /// is stable across runs).
 ByteVec DeterministicBytes(std::size_t size, std::uint64_t seed);
+
+/// Fill-in-place form: writes into `out` exactly the bytes
+/// DeterministicBytes(out.size(), seed) returns.
+void FillDeterministicBytes(std::span<std::uint8_t> out, std::uint64_t seed);
 
 }  // namespace coic

@@ -31,16 +31,30 @@
 namespace coic {
 
 /// Process-wide tally of payload-byte duplications made through the
-/// Frame API. Atomic because the live TCP servers move frames across
-/// threads; the simulator is single-threaded and pays only uncontended
-/// relaxed increments.
+/// Frame API, and of the large buffers frames adopt. Atomic because the
+/// live TCP servers move frames across threads; the simulator is
+/// single-threaded and pays only uncontended relaxed increments.
+///
+/// The copy counters see Copy() / CloneBytes() / CoW only. A fresh
+/// encode that writes a borrowed view's bytes into a new buffer is not a
+/// Frame copy, so it shows up in the large-buffer counters instead:
+/// every buffer of at least kLargeBufferBytes that a Frame adopts
+/// (FrameArena-sealed ones included).
 struct FrameCopyStats {
+  static constexpr std::size_t kLargeBufferBytes = 64 * 1024;
+
   std::atomic<std::uint64_t> frame_copies{0};
   std::atomic<std::uint64_t> frame_bytes_copied{0};
+  std::atomic<std::uint64_t> large_buffer_count{0};
+  std::atomic<std::uint64_t> large_buffer_byte_count{0};
 
   void Record(std::size_t bytes) noexcept {
     frame_copies.fetch_add(1, std::memory_order_relaxed);
     frame_bytes_copied.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  void RecordLarge(std::size_t bytes) noexcept {
+    large_buffer_count.fetch_add(1, std::memory_order_relaxed);
+    large_buffer_byte_count.fetch_add(bytes, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t copies() const noexcept {
     return frame_copies.load(std::memory_order_relaxed);
@@ -48,9 +62,17 @@ struct FrameCopyStats {
   [[nodiscard]] std::uint64_t bytes_copied() const noexcept {
     return frame_bytes_copied.load(std::memory_order_relaxed);
   }
+  [[nodiscard]] std::uint64_t large_buffers() const noexcept {
+    return large_buffer_count.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t large_buffer_bytes() const noexcept {
+    return large_buffer_byte_count.load(std::memory_order_relaxed);
+  }
   void Reset() noexcept {
     frame_copies.store(0, std::memory_order_relaxed);
     frame_bytes_copied.store(0, std::memory_order_relaxed);
+    large_buffer_count.store(0, std::memory_order_relaxed);
+    large_buffer_byte_count.store(0, std::memory_order_relaxed);
   }
 };
 
@@ -67,9 +89,14 @@ class Frame {
   /// an lvalue would hide a copy, so only rvalues convert. The buffer is
   /// allocated as a non-const ByteVec and only the stored pointer is
   /// const-qualified, so MutableSpan's cast-back is defined behavior.
+  /// Buffers of FrameCopyStats::kLargeBufferBytes or more are counted.
   Frame(ByteVec&& bytes)  // NOLINT(google-explicit-constructor)
       : buf_(std::make_shared<ByteVec>(std::move(bytes))),
-        size_(buf_->size()) {}
+        size_(buf_->size()) {
+    if (size_ >= FrameCopyStats::kLargeBufferBytes) {
+      frame_stats().RecordLarge(size_);
+    }
+  }
 
   /// Named form of the adopting constructor.
   [[nodiscard]] static Frame Own(ByteVec&& bytes) {
@@ -80,9 +107,13 @@ class Frame {
   /// path, where the shared_ptr carries a custom deleter that recycles
   /// the buffer instead of freeing it. The pointee must have been
   /// allocated non-const (see the adopting constructor's note on
-  /// MutableSpan).
+  /// MutableSpan). Large buffers are counted as in the adopting
+  /// constructor.
   [[nodiscard]] static Frame FromShared(std::shared_ptr<const ByteVec> buf) {
     const std::size_t size = buf ? buf->size() : 0;
+    if (size >= FrameCopyStats::kLargeBufferBytes) {
+      frame_stats().RecordLarge(size);
+    }
     return Frame(std::move(buf), 0, size);
   }
 

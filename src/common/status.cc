@@ -33,6 +33,11 @@ std::string Status::ToString() const {
   return out;
 }
 
+const Status& OkStatus() noexcept {
+  static const Status ok;
+  return ok;
+}
+
 namespace internal {
 
 void CheckFailed(const char* file, int line, const char* expr,

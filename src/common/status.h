@@ -66,6 +66,12 @@ class Status {
   std::string message_;
 };
 
+/// The shared OK status that Result<T>::status() returns by reference.
+/// Out of line: with a function-local static inlined into every caller,
+/// GCC 12 reports the variant's Status alternative as maybe-uninitialized
+/// when a Result<int> holding a value goes out of scope.
+const Status& OkStatus() noexcept;
+
 /// Result<T>: either a value or an error Status. A deliberately small
 /// stand-in for std::expected (not available in libstdc++ 12).
 template <typename T>
@@ -83,8 +89,7 @@ class Result {
   [[nodiscard]] bool ok() const noexcept { return std::holds_alternative<T>(rep_); }
 
   [[nodiscard]] const Status& status() const noexcept {
-    static const Status kOk = Status::Ok();
-    return ok() ? kOk : std::get<Status>(rep_);
+    return ok() ? OkStatus() : std::get<Status>(rep_);
   }
 
   /// Precondition: ok().

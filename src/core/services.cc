@@ -40,8 +40,17 @@ void CloudService::RegisterModel(std::uint64_t model_id, Bytes serialized_size) 
 }
 
 void CloudService::Reply(MessageType type, std::uint64_t request_id,
-                         std::span<const std::uint8_t> payload) {
-  send_(Peer::kClient, proto::EncodeEnvelope(type, request_id, payload));
+                         const Frame& payload) {
+  if (config_.gather_send && !payload.empty()) {
+    // By reference: a bare envelope header, with the memoized payload
+    // itself as the tail (DecodeEnvelopeView's header-only case).
+    ByteWriter head(proto::kEnvelopeHeaderSize);
+    proto::AppendEnvelopeHeader(head, type, request_id,
+                                static_cast<std::uint32_t>(payload.size()));
+    config_.gather_send(Peer::kClient, Frame(head.TakeBytes()), payload);
+    return;
+  }
+  send_(Peer::kClient, proto::EncodeEnvelope(type, request_id, payload.span()));
 }
 
 void CloudService::ReplyError(std::uint64_t request_id, StatusCode code,
@@ -62,7 +71,7 @@ void CloudService::OnFrame(Frame frame) {
   }
   switch (env.value().type) {
     case MessageType::kPing:
-      Reply(MessageType::kPong, env.value().request_id, {});
+      Reply(MessageType::kPong, env.value().request_id, Frame());
       return;
     case MessageType::kRecognitionRequest:
       HandleRecognition(env.value());
@@ -161,21 +170,22 @@ void CloudService::HandleRender(const EnvelopeView& env) {
   if (memo == render_payload_memo_.end()) {
     const auto bytes = models_.BytesFor(*model_id);
     COIC_CHECK(bytes.ok());
-    proto::RenderResult result;
-    result.model_id = *model_id;
-    result.source = ResultSource::kCloud;
-    result.model_bytes.assign(bytes.value().begin(), bytes.value().end());
     memo = render_payload_memo_
                .emplace(*model_id,
-                        std::make_pair(result.model_bytes.size(),
-                                       Frame(proto::EncodePayload(result))))
+                        std::make_pair(bytes.value().size(),
+                                       Frame(proto::EncodePayload(
+                                           proto::RenderResultView{
+                                               .model_id = *model_id,
+                                               .source = ResultSource::kCloud,
+                                               .model_bytes =
+                                                   bytes.value()}))))
                .first;
   }
 
   const Duration load = config_.costs.CloudModelLoad(memo->second.first);
   delay_(load,
          [this, request_id = env.request_id, payload = memo->second.second] {
-           Reply(MessageType::kRenderResult, request_id, payload.span());
+           Reply(MessageType::kRenderResult, request_id, payload);
          });
 }
 
@@ -195,31 +205,35 @@ void CloudService::HandlePanorama(const EnvelopeView& env) {
   if (memo == panorama_payload_memo_.end()) {
     const render::Panorama pano =
         render::Panorama::Generate(request.video_id, request.frame_index);
-    proto::PanoramaResult result;
-    result.video_id = request.video_id;
-    result.frame_index = request.frame_index;
-    result.source = ResultSource::kCloud;
-    result.width = pano.width();
-    result.height = pano.height();
-    result.frame = pano.Encode();
-    // Pad the encoded raster to the production 4K wire size so transfer
-    // costs match the paper's regime.
-    const Bytes target = config_.costs.panorama.frame_bytes;
-    if (result.frame.size() < target) {
-      const ByteVec pad = DeterministicBytes(
-          target - result.frame.size(),
-          request.video_id * 31 + request.frame_index);
-      result.frame.insert(result.frame.end(), pad.begin(), pad.end());
-    }
+    // The encoded raster is padded to the production 4K wire size so
+    // transfer costs match the paper's regime. One buffer of the final
+    // payload size: the result fields (frame length patched below), the
+    // raster and the padding are written straight into it.
+    const Bytes raster = pano.EncodedSize();
+    const Bytes frame_size =
+        std::max<Bytes>(raster, config_.costs.panorama.frame_bytes);
+    const proto::PanoramaResultView fields{.video_id = request.video_id,
+                                           .frame_index = request.frame_index,
+                                           .source = ResultSource::kCloud,
+                                           .width = pano.width(),
+                                           .height = pano.height(),
+                                           .frame = {}};
+    ByteWriter w(proto::WireSize(fields) + frame_size);
+    proto::EncodePayload(w, fields);
+    const std::size_t frame_prefix_at = w.size() - 4;
+    w.PatchU32(frame_prefix_at, static_cast<std::uint32_t>(frame_size));
+    pano.EncodeInto(w);
+    FillDeterministicBytes(w.Extend(frame_size - raster),
+                           request.video_id * 31 + request.frame_index);
     memo = panorama_payload_memo_
                .emplace(std::make_pair(request.video_id, request.frame_index),
-                        Frame(proto::EncodePayload(result)))
+                        Frame(w.TakeBytes()))
                .first;
   }
 
   delay_(config_.costs.panorama.cloud_render,
          [this, request_id = env.request_id, payload = memo->second] {
-           Reply(MessageType::kPanoramaResult, request_id, payload.span());
+           Reply(MessageType::kPanoramaResult, request_id, payload);
          });
 }
 
@@ -296,15 +310,35 @@ void EdgeService::AnswerRemoteWaiters(const std::vector<RemoteWaiter>& waiters,
   for (const RemoteWaiter& rw : waiters) {
     // Each prober gets a reply under its own probe request id — exactly
     // the frame an immediate miss/hit answer would have produced.
-    config_.peer_send(
-        rw.peer,
-        EncodeFrame(MessageType::kPeerLookupReply, rw.request_id,
-                    proto::PeerLookupReplyView{
-                        .found = found,
-                        .reply_type = rw.reply_type,
-                        .payload = found ? payload.span()
-                                         : std::span<const std::uint8_t>{}}));
+    SendPeerReply(rw.peer, rw.request_id, rw.reply_type, found, payload);
   }
+}
+
+void EdgeService::SendPeerReply(std::optional<std::uint32_t> peer,
+                                std::uint64_t request_id,
+                                MessageType reply_type, bool found,
+                                const Frame& payload) {
+  const proto::PeerLookupReplyView reply{
+      .found = found,
+      .reply_type = reply_type,
+      .payload = found ? payload.span() : std::span<const std::uint8_t>{}};
+  if (!peer || !config_.peer_send) {
+    send_(Peer::kPeerEdge,
+          EncodeFrame(MessageType::kPeerLookupReply, request_id, reply));
+    return;
+  }
+  if (found && !payload.empty() && config_.peer_gather_send) {
+    // A hit's body goes by reference: the prober adopts this very buffer
+    // into its cache, so both venues hold one copy of the result.
+    config_.peer_gather_send(
+        *peer,
+        Frame(proto::EncodeGatherHead(MessageType::kPeerLookupReply,
+                                      request_id, reply)),
+        payload);
+    return;
+  }
+  config_.peer_send(
+      *peer, EncodeFrame(MessageType::kPeerLookupReply, request_id, reply));
 }
 
 void EdgeService::NoteKeyUse(std::uint64_t coalesce_key) {
@@ -839,22 +873,12 @@ void EdgeService::HandlePeerLookupRequest(
                }
              }
            }
-           const proto::PeerLookupReplyView answer{
-               .found = outcome.hit,
-               .reply_type = reply_type,
-               .payload = outcome.hit ? outcome.payload.span()
-                                      : std::span<const std::uint8_t>{}};
-           Frame reply =
-               EncodeFrame(MessageType::kPeerLookupReply, request_id, answer);
-           if (from_peer && config_.peer_send) {
-             config_.peer_send(*from_peer, std::move(reply));
-           } else {
-             send_(Peer::kPeerEdge, std::move(reply));
-           }
+           SendPeerReply(from_peer, request_id, reply_type, outcome.hit,
+                         outcome.payload);
          });
 }
 
-void EdgeService::HandlePeerLookupReply(const Frame& frame,
+void EdgeService::HandlePeerLookupReply(const Frame& head, const Frame& tail,
                                         const EnvelopeView& env) {
   auto reply = proto::DecodePayloadAs<proto::PeerLookupReplyView>(
       env, MessageType::kPeerLookupReply);
@@ -876,15 +900,16 @@ void EdgeService::HandlePeerLookupReply(const Frame& frame,
   if (reply.value().found && !pending.served) {
     // First peer hit: adopt the result into the local cache, then serve
     // the client marked as a peer-edge result. The entry lingers (served
-    // = true) until every fanned-out probe has answered. The payload is
-    // a slice of the reply frame — cache adoption shares the buffer the
-    // link just delivered, no copy.
+    // = true) until every fanned-out probe has answered. No copy: a
+    // gathered reply's tail is the serving peer's cached payload itself,
+    // and a fused reply's payload is a slice of the delivered frame.
     pending.served = true;
     ++peer_hits_;
     if (tracer_) {
       tracer_->Transition(env.request_id, obs::Phase::kCacheInsert, now_());
     }
-    const Frame payload = frame.SliceOf(reply.value().payload);
+    const Frame payload = tail.empty() ? head.SliceOf(reply.value().payload)
+                                       : tail.SliceOf(reply.value().payload);
     const MessageType reply_type = reply.value().reply_type;
     // The outcome is known: waiters ride this result, and later misses
     // must start a fresh fetch (the insert below completes after a
@@ -952,16 +977,21 @@ void EdgeService::HandlePeerLookupReply(const Frame& frame,
 }
 
 void EdgeService::OnPeerFrame(Frame frame) {
-  DispatchPeerFrame(std::nullopt, std::move(frame));
+  DispatchPeerFrame(std::nullopt, std::move(frame), Frame());
 }
 
 void EdgeService::OnPeerFrame(std::uint32_t from_peer, Frame frame) {
-  DispatchPeerFrame(from_peer, std::move(frame));
+  DispatchPeerFrame(from_peer, std::move(frame), Frame());
+}
+
+void EdgeService::OnPeerFrame(std::uint32_t from_peer, Frame head,
+                              Frame tail) {
+  DispatchPeerFrame(from_peer, std::move(head), std::move(tail));
 }
 
 void EdgeService::DispatchPeerFrame(std::optional<std::uint32_t> from_peer,
-                                    Frame frame) {
-  auto env_or = proto::DecodeEnvelopeView(frame);
+                                    Frame head, Frame tail) {
+  auto env_or = proto::DecodeEnvelopeView(head, tail);
   if (!env_or.ok()) {
     COIC_LOG(kWarn) << "edge: dropping undecodable peer frame";
     return;
@@ -972,7 +1002,7 @@ void EdgeService::DispatchPeerFrame(std::optional<std::uint32_t> from_peer,
       HandlePeerLookupRequest(env, from_peer);
       return;
     case MessageType::kPeerLookupReply:
-      HandlePeerLookupReply(frame, env);
+      HandlePeerLookupReply(head, tail, env);
       return;
     default:
       COIC_LOG(kWarn) << "edge: unexpected peer message type";
@@ -1098,13 +1128,22 @@ void EdgeService::OnClientFrame(Frame frame) {
 }
 
 void EdgeService::OnCloudFrame(Frame frame) {
-  auto env_or = proto::DecodeEnvelopeView(frame);
+  OnCloudFrame(std::move(frame), Frame());
+}
+
+void EdgeService::OnCloudFrame(Frame head, Frame tail) {
+  auto env_or = proto::DecodeEnvelopeView(head, tail);
   if (!env_or.ok()) {
     COIC_LOG(kWarn) << "edge: dropping undecodable cloud frame: "
                     << env_or.status().ToString();
     return;
   }
   const EnvelopeView env = env_or.value();
+  if (!env.tail.empty()) {
+    // The cloud gathers only as a bare header plus the whole payload.
+    COIC_LOG(kWarn) << "edge: dropping split cloud frame";
+    return;
+  }
 
   const auto it = pending_.find(env.request_id);
   if (it == pending_.end()) {
@@ -1134,22 +1173,31 @@ void EdgeService::OnCloudFrame(Frame frame) {
       FailWaiters(pending.waiters, env.payload);
     }
     AnswerRemoteWaiters(pending.remote_waiters, false, Frame());
-    MemoizeResolved(env.request_id, {.reply = frame, .payload = {}});
+    if (tail.empty()) {
+      MemoizeResolved(env.request_id, {.reply = head, .payload = {}});
+    } else {
+      // A gathered reply is a cloud result; a replay re-wraps it as one.
+      MemoizeResolved(env.request_id, {.reply = {},
+                                       .payload = tail,
+                                       .reply_type = env.type,
+                                       .source = ResultSource::kCloud});
+    }
     if (tracer_) {
       tracer_->Transition(env.request_id, obs::Phase::kDownlink, now_());
     }
-    send_(Peer::kClient, std::move(frame));
+    RelayCloudReply(std::move(head), std::move(tail));
     return;
   }
 
   // Figure 1: "the edge forwards the request to the cloud and inserts
   // the result to the edge cache" — insert, then relay to the client.
-  // The cache adopts a slice of the delivered frame (shared buffer) and
-  // the client gets the original frame itself: zero payload copies on
-  // the whole miss-return path.
+  // The cache adopts the payload without a copy: a gathered reply's tail
+  // is the cloud's memoized payload itself, a fused reply's payload a
+  // slice of the delivered frame. The client gets the reply as it came.
   const Frame payload =
-      frame.Slice(proto::kEnvelopeHeaderSize,
-                  frame.size() - proto::kEnvelopeHeaderSize);
+      tail.empty() ? head.Slice(proto::kEnvelopeHeaderSize,
+                                head.size() - proto::kEnvelopeHeaderSize)
+                   : tail;
   MemoizeResolved(env.request_id, {.reply = {},
                                    .payload = payload,
                                    .reply_type = env.type,
@@ -1171,7 +1219,7 @@ void EdgeService::OnCloudFrame(Frame frame) {
     tracer_->Transition(env.request_id, obs::Phase::kCacheInsert, now_());
   }
   delay_(config_.costs.edge.cache_insert,
-         [this, frame = std::move(frame), payload,
+         [this, head = std::move(head), tail = std::move(tail), payload,
           request_id = env.request_id,
           key = std::move(*pending.insert_key),
           waiters = std::move(pending.waiters),
@@ -1187,12 +1235,22 @@ void EdgeService::OnCloudFrame(Frame frame) {
            if (tracer_) {
              tracer_->Transition(request_id, obs::Phase::kDownlink, now_());
            }
-           send_(Peer::kClient, std::move(frame));
+           RelayCloudReply(std::move(head), std::move(tail));
            // Waiters share the same upstream result; the cloud produced
            // it once for all of them.
            ServeWaiters(waiters, payload, ResultSource::kCloud);
            AnswerRemoteWaiters(remote, true, payload);
          });
+}
+
+void EdgeService::RelayCloudReply(Frame head, Frame tail) {
+  if (tail.empty()) {
+    send_(Peer::kClient, std::move(head));
+    return;
+  }
+  COIC_CHECK_MSG(config_.gather_send != nullptr,
+                 "gathered cloud reply at an edge without gather_send");
+  config_.gather_send(Peer::kClient, std::move(head), std::move(tail));
 }
 
 }  // namespace coic::core

@@ -69,6 +69,11 @@ class CloudService {
     CostModel costs;
     std::uint32_t recognition_classes = 20;
     vision::FeatureExtractorConfig extractor;
+    /// Optional scatter-gather sender for render and panorama replies:
+    /// a bare envelope header plus the memoized payload by reference
+    /// (see GatherSendFn; `to` is always Peer::kClient). Null => the
+    /// fused single-buffer encode. Wire bytes are identical either way.
+    GatherSendFn gather_send;
   };
 
   CloudService(Config config, SendFn send, DelayFn delay);
@@ -100,8 +105,10 @@ class CloudService {
   void HandleRecognition(const proto::EnvelopeView& env);
   void HandleRender(const proto::EnvelopeView& env);
   void HandlePanorama(const proto::EnvelopeView& env);
+  /// Sends `payload` under a reply envelope: gathered (header + the
+  /// payload frame itself) when gather_send is set, else fused.
   void Reply(proto::MessageType type, std::uint64_t request_id,
-             std::span<const std::uint8_t> payload);
+             const Frame& payload);
   void ReplyError(std::uint64_t request_id, StatusCode code,
                   const std::string& message);
 
@@ -112,8 +119,9 @@ class CloudService {
   /// to a fresh generation; the caches only trade memory for wall time,
   /// and are bounded by clearing when they outgrow `cap` (re-filled on
   /// demand, still deterministic). Values are shared Frames: handing one
-  /// out is a refcount bump, and each reply's delay_ lambda captures the
-  /// frame, not a copy of the body.
+  /// out is a refcount bump, each reply's delay_ lambda captures the
+  /// frame, not a copy of the body, and a gathered reply sends the frame
+  /// itself.
   Frame AnnotationFor(const std::string& label);
   template <typename Map>
   static void BoundMemo(Map& memo, std::size_t cap) {
@@ -151,6 +159,13 @@ class EdgeService {
   /// are installed the edge runs in N-edge federation mode; otherwise a
   /// single anonymous peer is assumed (the original pairwise protocol).
   using PeerSendFn = std::function<void(std::uint32_t peer, Frame frame)>;
+  /// Scatter-gather form of PeerSendFn for peer-lookup hit replies:
+  /// `head` is proto::EncodeGatherHead's envelope header, found flag,
+  /// reply type and payload length prefix; `tail` is the cached payload
+  /// itself, shared by reference. The receiver hands both segments to
+  /// OnPeerFrame(peer, head, tail).
+  using PeerGatherSendFn =
+      std::function<void(std::uint32_t peer, Frame head, Frame tail)>;
   using PeerSelectFn =
       std::function<std::vector<std::uint32_t>(const proto::FeatureDescriptor&)>;
 
@@ -164,6 +179,9 @@ class EdgeService {
     bool cooperative = false;
     PeerSendFn peer_send;      ///< Null => pairwise mode.
     PeerSelectFn peer_select;  ///< Null => pairwise mode.
+    /// Gathered peer-hit replies (federation mode only). Null => hits
+    /// are encoded into one buffer and sent through peer_send.
+    PeerGatherSendFn peer_gather_send;
     /// Per-request cap on peer probes in federation mode; candidates
     /// beyond the budget are dropped (policy order is preserved).
     std::uint32_t probe_budget = 1;
@@ -248,8 +266,12 @@ class EdgeService {
   /// Frames arriving from the mobile client.
   void OnClientFrame(Frame frame);
 
-  /// Frames arriving back from the cloud.
+  /// Frames arriving back from the cloud. The gathered form is a bare
+  /// envelope header plus the whole result payload (CloudService's
+  /// gather_send): the cache adopts `tail` itself and the pair goes on
+  /// to the client through gather_send.
   void OnCloudFrame(Frame frame);
+  void OnCloudFrame(Frame head, Frame tail);
 
   /// Frames arriving from the cooperating peer edge (lookup requests we
   /// answer, and replies to lookups we issued). The anonymous overload
@@ -257,6 +279,8 @@ class EdgeService {
   /// cluster index so replies can be routed back.
   void OnPeerFrame(Frame frame);
   void OnPeerFrame(std::uint32_t from_peer, Frame frame);
+  /// A gathered peer frame (peer_gather_send's head and tail).
+  void OnPeerFrame(std::uint32_t from_peer, Frame head, Frame tail);
 
   [[nodiscard]] const cache::IcCache& cache() const noexcept { return cache_; }
   [[nodiscard]] cache::IcCache& mutable_cache() noexcept { return cache_; }
@@ -429,11 +453,22 @@ class EdgeService {
                    proto::MessageType reply_type,
                    std::optional<SimTime> deadline_at);
   void ForwardToCloud(Frame request_frame, PendingForward pending);
-  void DispatchPeerFrame(std::optional<std::uint32_t> from_peer, Frame frame);
+  /// `tail` is empty for a plain frame.
+  void DispatchPeerFrame(std::optional<std::uint32_t> from_peer, Frame head,
+                         Frame tail);
   void HandlePeerLookupRequest(const proto::EnvelopeView& env,
                                std::optional<std::uint32_t> from_peer);
-  void HandlePeerLookupReply(const Frame& frame,
+  void HandlePeerLookupReply(const Frame& head, const Frame& tail,
                              const proto::EnvelopeView& env);
+  /// Answers a peer lookup: through peer_send to `peer` (gathered, the
+  /// cached payload by reference, for a hit when peer_gather_send is
+  /// set), or through SendFn(Peer::kPeerEdge) in pairwise mode.
+  void SendPeerReply(std::optional<std::uint32_t> peer,
+                     std::uint64_t request_id, proto::MessageType reply_type,
+                     bool found, const Frame& payload);
+  /// Relays a cloud reply to the client as it arrived: one frame, or a
+  /// gathered pair through gather_send.
+  void RelayCloudReply(Frame head, Frame tail);
 
   /// Same-key coalescing identity of a descriptor: content-hash keys use
   /// their index key, vector keys a hash of the raw float bits (exact

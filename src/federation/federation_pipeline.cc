@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <string>
 
 #include "common/log.h"
@@ -260,6 +261,10 @@ FederationPipeline::FederationPipeline(FederationPipelineConfig config)
   root.RegisterSampler("frame.copies", [] { return frame_stats().copies(); });
   root.RegisterSampler("frame.bytes_copied",
                        [] { return frame_stats().bytes_copied(); });
+  root.RegisterSampler("frame.large_buffers",
+                       [] { return frame_stats().large_buffers(); });
+  root.RegisterSampler("frame.large_buffer_bytes",
+                       [] { return frame_stats().large_buffer_bytes(); });
   root.RegisterSampler("cloud.tasks_executed",
                        [this] { return cloud_->tasks_executed(); });
   for (auto& sh : shards_) {
@@ -447,18 +452,32 @@ void FederationPipeline::WireCloud() {
   // transport a missing route still means a wiring bug, so keep the
   // CHECK there.
   const bool lossy = LossyTransport();
+  const auto take_route =
+      [routes, lossy](const Frame& reply) -> std::optional<netsim::NodeId> {
+    const auto it = routes->find(PeekRequestId(reply.span()));
+    if (it == routes->end()) {
+      COIC_CHECK_MSG(lossy, "cloud reply with no route");
+      return std::nullopt;
+    }
+    const netsim::NodeId target = it->second;
+    routes->erase(it);
+    return target;
+  };
+  // Render and panorama replies leave as a bare header plus the memoized
+  // payload by reference; the forwarding edge caches that very buffer.
+  cloud_config.gather_send = [this, take_route](core::Peer /*to*/, Frame head,
+                                                Frame tail) {
+    if (const auto target = take_route(head)) {
+      shards_.front()->net.SendGather(cloud_node_, *target, std::move(head),
+                                      std::move(tail));
+    }
+  };
   cloud_ = std::make_unique<CloudService>(
       cloud_config,
-      [this, routes, lossy](core::Peer /*to*/, Frame frame) {
-        const std::uint64_t id = PeekRequestId(frame.span());
-        const auto it = routes->find(id);
-        if (it == routes->end()) {
-          COIC_CHECK_MSG(lossy, "cloud reply with no route");
-          return;
+      [this, take_route](core::Peer /*to*/, Frame frame) {
+        if (const auto target = take_route(frame)) {
+          shards_.front()->net.Send(cloud_node_, *target, std::move(frame));
         }
-        const netsim::NodeId target = it->second;
-        routes->erase(it);
-        shards_.front()->net.Send(cloud_node_, target, std::move(frame));
       },
       delay);
   shards_.front()->net.SetHandler(
@@ -528,6 +547,11 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
     MaybeSendSummaryAck(venue, peer, /*force=*/false);
     SendEdgeToEdge(venue, peer, std::move(frame));
   };
+  edge_config.peer_gather_send = [this, venue](std::uint32_t peer, Frame head,
+                                               Frame tail) {
+    MaybeSendSummaryAck(venue, peer, /*force=*/false);
+    SendEdgeToEdge(venue, peer, std::move(head), std::move(tail));
+  };
   if (Hierarchical()) {
     // Two-tier selection: member summaries intra-region, digests + the
     // believed head cross-region. Targets outside the hop limit are
@@ -558,47 +582,46 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
   }
   const netsim::NodeId self = edge_nodes_[venue];
   const bool lossy = LossyTransport();
-  // Scatter-gather client replies: the per-request envelope head and the
-  // shared cached blob body travel as one wire frame that no hop fuses —
-  // the client decodes the two segments in place (wire bytes identical
-  // to the fused path).
-  edge_config.gather_send = [this, venue, self, lossy](core::Peer to,
-                                                       Frame head,
-                                                       Frame tail) {
-    COIC_CHECK_MSG(to == core::Peer::kClient,
-                   "federation gather replies serve clients only");
+  // Client replies: several mobiles share this edge, so route by the
+  // request id recorded when the request came in. A missing route under
+  // retries means a duplicate reply raced a lost request — drop it; the
+  // client's own retry recovers.
+  const auto take_client_route =
+      [this, venue, lossy](const Frame& reply) -> std::optional<netsim::NodeId> {
     auto& routes = client_routes_[venue];
-    const auto it = routes.find(PeekRequestId(head.span()));
+    const auto it = routes.find(PeekRequestId(reply.span()));
     if (it == routes.end()) {
       COIC_CHECK_MSG(lossy, "edge reply with no client route");
-      return;
+      return std::nullopt;
     }
     const netsim::NodeId target = it->second;
     routes.erase(it);
-    NetOf(venue).SendGather(self, target, std::move(head), std::move(tail));
+    return target;
+  };
+  // Scatter-gather client replies: the per-request envelope head and the
+  // shared cached blob body (or a relayed cloud reply's header and
+  // payload) travel as one wire frame that no hop fuses — the client
+  // decodes the two segments in place (wire bytes identical to the fused
+  // path).
+  edge_config.gather_send = [this, venue, self, take_client_route](
+                                core::Peer to, Frame head, Frame tail) {
+    COIC_CHECK_MSG(to == core::Peer::kClient,
+                   "edge gather_send serves clients only (peer hits gather "
+                   "through peer_gather_send)");
+    if (const auto target = take_client_route(head)) {
+      NetOf(venue).SendGather(self, *target, std::move(head), std::move(tail));
+    }
   };
   edges_[venue] = std::make_unique<EdgeService>(
       edge_config,
-      [this, venue, self, lossy](core::Peer to, Frame frame) {
+      [this, venue, self, take_client_route](core::Peer to, Frame frame) {
         COIC_CHECK_MSG(to != core::Peer::kPeerEdge,
                        "federation edges route peers via peer_send");
         if (to == core::Peer::kCloud) {
           NetOf(venue).Send(self, cloud_node_, std::move(frame));
-          return;
+        } else if (const auto target = take_client_route(frame)) {
+          NetOf(venue).Send(self, *target, std::move(frame));
         }
-        // Client replies: several mobiles share this edge, so route by
-        // the request id recorded when the request came in. A missing
-        // route under retries means a duplicate reply raced a lost
-        // request — drop it; the client's own retry recovers.
-        auto& routes = client_routes_[venue];
-        const auto it = routes.find(PeekRequestId(frame.span()));
-        if (it == routes.end()) {
-          COIC_CHECK_MSG(lossy, "edge reply with no client route");
-          return;
-        }
-        const netsim::NodeId target = it->second;
-        routes.erase(it);
-        NetOf(venue).Send(self, target, std::move(frame));
       },
       delay, now);
 
@@ -629,6 +652,23 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
     }
     COIC_CHECK_MSG(false, "edge frame from unknown node");
   });
+  // Gathered arrivals: cloud result replies and peer-lookup hits (the
+  // only peer frames that gather, so they skip OnPeerEdgeFrame's
+  // control-frame dispatch).
+  shard.net.SetGatherHandler(
+      self, [this, venue](netsim::NodeId from, Frame head, Frame tail) {
+        if (from == cloud_node_) {
+          edges_[venue]->OnCloudFrame(std::move(head), std::move(tail));
+          return;
+        }
+        for (std::uint32_t peer = 0; peer < config_.venues; ++peer) {
+          if (edge_nodes_[peer] == from) {
+            edges_[venue]->OnPeerFrame(peer, std::move(head), std::move(tail));
+            return;
+          }
+        }
+        COIC_CHECK_MSG(false, "gathered edge frame from unknown node");
+      });
 }
 
 void FederationPipeline::WireClient(std::uint32_t venue, std::uint32_t mobile) {
@@ -694,6 +734,20 @@ void FederationPipeline::SendEdgeToEdge(std::uint32_t from, std::uint32_t to,
   NetOf(from).Send(edge_nodes_[from],
                    edge_nodes_[topology_.NextHop(from, to)],
                    RelayFrame(from, to, dist, frame));
+}
+
+void FederationPipeline::SendEdgeToEdge(std::uint32_t from, std::uint32_t to,
+                                        Frame head, Frame tail) {
+  if (topology_.Adjacent(from, to)) {
+    NetOf(from).SendGather(edge_nodes_[from], edge_nodes_[to], std::move(head),
+                           std::move(tail));
+    return;
+  }
+  // The relay wrapper carries one frame: fuse the pair first.
+  ByteWriter fused(head.size() + tail.size());
+  fused.WriteRaw(head.span());
+  fused.WriteRaw(tail.span());
+  SendEdgeToEdge(from, to, Frame(fused.TakeBytes()));
 }
 
 void FederationPipeline::OnPeerEdgeFrame(std::uint32_t venue,

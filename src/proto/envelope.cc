@@ -94,6 +94,12 @@ Result<EnvelopeView> DecodeEnvelopeView(std::span<const std::uint8_t> head,
   if (received != payload_len) {
     return Status(StatusCode::kDataLoss, "trailing bytes after envelope");
   }
+  if (head.size() == kEnvelopeHeaderSize && !tail.empty()) {
+    // Header-only head: the tail is the whole payload (a memoized result
+    // shared by reference), so it decodes as a single-span payload.
+    env.payload = tail;
+    return env;
+  }
   env.payload = head.subspan(kEnvelopeHeaderSize);
   env.tail = tail;
   return env;

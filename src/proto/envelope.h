@@ -18,6 +18,8 @@
 
 #include <cstdint>
 #include <span>
+#include <tuple>
+#include <utility>
 
 #include "common/bytes.h"
 #include "common/frame.h"
@@ -95,6 +97,30 @@ ByteVec EncodeMessage(MessageType type, std::uint64_t request_id,
   return EncodeMessageInto(ByteVec(), type, request_id, msg);
 }
 
+/// The head of a gathered frame whose tail is the body of `msg`'s final
+/// blob field: the envelope header (its payload length counts the tail)
+/// and every field of `msg` up to and including that blob's u32 length
+/// prefix. Head followed by the blob body is byte-identical to
+/// EncodeMessage(type, request_id, msg).
+template <Described Message>
+ByteVec EncodeGatherHead(MessageType type, std::uint64_t request_id,
+                         const Message& msg) {
+  const Bytes size = WireSize(msg);
+  COIC_CHECK_MSG(size <= kMaxPayloadBytes, "payload too large");
+  return Schema<Message>::Fields(msg, [&](const auto&... fields) {
+    const auto all = std::forward_as_tuple(fields...);
+    constexpr std::size_t kLast = sizeof...(fields) - 1;
+    const std::span<const std::uint8_t> blob = std::get<kLast>(all);
+    ByteWriter w(kEnvelopeHeaderSize + size - blob.size());
+    AppendEnvelopeHeader(w, type, request_id, static_cast<std::uint32_t>(size));
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      (codec::WriteField(w, std::get<I>(all)), ...);
+    }(std::make_index_sequence<kLast>{});
+    w.WriteU32(static_cast<std::uint32_t>(blob.size()));
+    return w.TakeBytes();
+  });
+}
+
 /// Parses a full envelope from `data` without copying the payload (see
 /// EnvelopeView for the lifetime rule). Fails with kDataLoss on bad
 /// magic, unsupported version, truncated header/payload or oversized
@@ -107,6 +133,11 @@ Result<EnvelopeView> DecodeEnvelopeView(std::span<const std::uint8_t> data);
 /// tail.size(); the payload decoder then reads every field from `head`
 /// and may take `tail` only as the final blob (see ByteReader). An empty
 /// `tail` decodes exactly like the one-span form.
+///
+/// One more case: a `head` that is exactly the envelope header carries
+/// no payload bytes, and then `tail` is the whole payload (a memoized
+/// result sent by reference). It decodes as `payload = tail` with an
+/// empty view `tail`; the length check is the same.
 Result<EnvelopeView> DecodeEnvelopeView(std::span<const std::uint8_t> head,
                                         std::span<const std::uint8_t> tail);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -57,18 +56,21 @@ float Panorama::at(std::int32_t x, std::int32_t y) const noexcept {
 }
 
 ByteVec Panorama::Encode() const {
-  ByteWriter w(pixels_.size() + 16);
+  ByteWriter w(EncodedSize());
+  EncodeInto(w);
+  return w.TakeBytes();
+}
+
+void Panorama::EncodeInto(ByteWriter& w) const {
   w.WriteU64(video_id_);
   w.WriteU32(frame_index_);
   w.WriteU16(width_);
   w.WriteU16(height_);
-  ByteVec out = w.TakeBytes();
-  std::transform(pixels_.begin(), pixels_.end(), std::back_inserter(out),
-                 [](float p) {
+  std::transform(pixels_.begin(), pixels_.end(),
+                 w.Extend(pixels_.size()).begin(), [](float p) {
                    return static_cast<std::uint8_t>(
                        std::clamp(p * 255.0f, 0.0f, 255.0f));
                  });
-  return out;
 }
 
 Digest128 Panorama::ContentHash() const {

@@ -40,6 +40,12 @@ class Panorama {
 
   /// Quantized pixels (the "encoded frame" the edge caches / ships).
   [[nodiscard]] ByteVec Encode() const;
+  /// Appends Encode()'s bytes to `w` (no intermediate buffer).
+  void EncodeInto(ByteWriter& w) const;
+  /// Size of Encode()'s output: a 16-byte header plus one byte per pixel.
+  [[nodiscard]] Bytes EncodedSize() const noexcept {
+    return 16 + pixels_.size();
+  }
 
   /// Content digest of the encoded frame — the CoIC cache key.
   [[nodiscard]] Digest128 ContentHash() const;

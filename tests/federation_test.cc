@@ -1211,11 +1211,20 @@ TEST(FrameFabricTest, HitHeavyStormStaysCopyFreeWithGatherReplies) {
   EXPECT_EQ(frame_stats().copies(), copies_before);
 }
 
-TEST(FrameFabricTest, LosslessMixedStormDeliversGatheredRepliesUnflattened) {
-  // Recognition, render and panorama hit replies all leave the edge as a
-  // head + shared blob body and reach the client in two segments: a
-  // lossless single-thread 8-venue mixed storm joins none of them.
-  FederationPipeline pipeline(OpenLoopClusterConfig(8));
+/// The lossless 8-venue mixed storm of the gathered-reply tests, run on
+/// `workers` deterministic shards: outcomes plus the merged metrics.
+struct MixedStormRun {
+  std::vector<federation::FederationOutcome> outcomes;
+  obs::MetricsSnapshot metrics;
+  std::uint64_t peer_hits = 0;
+  std::uint64_t copies = 0;
+};
+
+MixedStormRun RunLosslessMixedStorm(std::uint32_t workers) {
+  FederationPipelineConfig config = OpenLoopClusterConfig(8);
+  config.execution.workers = workers;
+  config.execution.mode = federation::ExecutionConfig::Mode::kDeterministic;
+  FederationPipeline pipeline(config);
   const std::vector<std::uint64_t> models = {1, 2, 3, 4, 5, 6};
   for (const std::uint64_t m : models) {
     pipeline.RegisterModel(m, KB(64) + m * KB(4));
@@ -1230,21 +1239,135 @@ TEST(FrameFabricTest, LosslessMixedStormDeliversGatheredRepliesUnflattened) {
   trace::RetimeArrivals(std::span<trace::PlacedRecord>(placed), 500.0);
   for (const auto& p : placed) pipeline.EnqueuePlaced(p);
 
+  MixedStormRun run;
   const std::uint64_t copies_before = frame_stats().copies();
-  const auto outcomes = pipeline.RunOpenLoop();
-  ASSERT_EQ(outcomes.size(), 400u);
-  std::set<proto::TaskKind> hit_kinds;
-  for (const auto& o : outcomes) {
-    EXPECT_FALSE(o.outcome.error);
-    if (o.outcome.source == ResultSource::kEdgeCache) {
-      hit_kinds.insert(o.outcome.task);
-    }
+  run.outcomes = pipeline.RunOpenLoop();
+  run.copies = frame_stats().copies() - copies_before;
+  run.metrics = pipeline.MergedMetricsSnapshot();
+  for (std::uint32_t v = 0; v < 8; ++v) {
+    run.peer_hits += pipeline.edge(v).peer_hits();
   }
-  EXPECT_EQ(hit_kinds.size(), 3u);  // every result type rode the hit path
-  const auto metrics = pipeline.MergedMetricsSnapshot();
-  EXPECT_EQ(metrics.value("netsim.gather_flattens"), 0u);
-  EXPECT_EQ(metrics.value("netsim.gather_flatten_bytes"), 0u);
-  EXPECT_EQ(frame_stats().copies(), copies_before);
+  return run;
+}
+
+TEST(FrameFabricTest, LosslessMixedStormDeliversGatheredRepliesUnflattened) {
+  // Recognition, render and panorama hit replies all leave the edge as a
+  // head + shared blob body, peer hits leave the serving edge as a head
+  // + its cached payload, and cloud render / panorama replies leave the
+  // cloud as a bare header + the memoized payload. On a lossless
+  // single-thread 8-venue mixed storm every pair reaches its receiver
+  // in two segments: no hop joins one.
+  const MixedStormRun run = RunLosslessMixedStorm(1);
+  ASSERT_EQ(run.outcomes.size(), 400u);
+  std::set<std::pair<proto::TaskKind, ResultSource>> seen;
+  for (const auto& o : run.outcomes) {
+    EXPECT_FALSE(o.outcome.error);
+    seen.emplace(o.outcome.task, o.outcome.source);
+  }
+  // Every result type rode the hit path.
+  for (const auto task : {proto::TaskKind::kRecognition,
+                          proto::TaskKind::kRender,
+                          proto::TaskKind::kPanorama}) {
+    EXPECT_TRUE(seen.contains({task, ResultSource::kEdgeCache}))
+        << static_cast<int>(task);
+  }
+  // Gathered cloud replies and peer hits were exercised too.
+  EXPECT_TRUE(seen.contains({proto::TaskKind::kRender, ResultSource::kCloud}));
+  EXPECT_TRUE(
+      seen.contains({proto::TaskKind::kPanorama, ResultSource::kCloud}));
+  EXPECT_GT(run.peer_hits, 0u);
+  EXPECT_EQ(run.metrics.value("netsim.gather_flattens"), 0u);
+  EXPECT_EQ(run.metrics.value("netsim.gather_flatten_bytes"), 0u);
+  EXPECT_EQ(run.copies, 0u);
+}
+
+TEST(FrameFabricTest, LosslessMixedStormIsBitIdenticalOnTwoWorkers) {
+  // Two deterministic shards put the cloud and some edges on different
+  // threads: those gathered pairs are joined at the shard boundary, the
+  // rest stay gathered. Outcomes must not move either way.
+  const auto rows = [](const MixedStormRun& run) {
+    std::vector<std::tuple<std::uint32_t, proto::TaskKind, ResultSource, bool,
+                           std::int64_t, std::int64_t>>
+        out;
+    for (const auto& o : run.outcomes) {
+      out.emplace_back(o.venue, o.outcome.task, o.outcome.source,
+                       o.outcome.error, o.outcome.latency.micros(),
+                       (o.completed_at - SimTime::Epoch()).micros());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const MixedStormRun single = RunLosslessMixedStorm(1);
+  const MixedStormRun sharded = RunLosslessMixedStorm(2);
+  ASSERT_EQ(single.outcomes.size(), 400u);
+  EXPECT_EQ(rows(sharded), rows(single));
+  EXPECT_EQ(sharded.peer_hits, single.peer_hits);
+  EXPECT_EQ(sharded.copies, 0u);
+}
+
+TEST(FrameFabricTest, PeerHitAdoptsTheServingVenuesBuffer) {
+  // Venue 3's miss is answered by venue 0's cache; venue 3 adopts the
+  // gathered tail itself, so the two cache entries (and the cloud's
+  // render memo venue 0 cached) are one buffer.
+  FederationPipeline pipeline(
+      ClusterConfig(4, PeerSelectKind::kSummaryDirected));
+  pipeline.RegisterModel(1, KB(512));
+  pipeline.EnqueueRenderAt(0, 1);
+  pipeline.EnqueueRenderAt(3, 1);
+  const auto outcomes = pipeline.Run();
+  ASSERT_EQ(outcomes.size(), 2u);
+  ASSERT_EQ(outcomes[1].outcome.source, ResultSource::kPeerEdge);
+  const auto key = proto::FeatureDescriptor::ForHash(
+      proto::TaskKind::kRender,
+      pipeline.cloud().model_registry().DigestFor(1).value());
+  const auto serving =
+      pipeline.edge(0).mutable_cache().Lookup(key, SimTime::Epoch());
+  const auto adopting =
+      pipeline.edge(3).mutable_cache().Lookup(key, SimTime::Epoch());
+  ASSERT_TRUE(serving.hit);
+  ASSERT_TRUE(adopting.hit);
+  EXPECT_EQ(adopting.payload.span().data(), serving.payload.span().data());
+  EXPECT_EQ(adopting.payload.size(), serving.payload.size());
+}
+
+TEST(FrameFabricTest, PeerHitsSealNoLargeBuffers) {
+  // frame.large_buffers counts every buffer of 64 KiB or more a Frame
+  // adopts, encodes from borrowed views included. On a lossless render
+  // storm the only ones left are the cloud's memo builds: replies go
+  // out by reference, so the run seals no more large buffers than twice
+  // the cloud's task count — while there are more peer hits than cloud
+  // tasks, which a copy per peer hit would overrun.
+  // Venue 0 warms the six models; gossip then directs the other seven
+  // venues' misses at it.
+  FederationPipeline pipeline(OpenLoopClusterConfig(8));
+  RegisterStormModels(pipeline);
+  std::vector<trace::PlacedRecord> placed(200);
+  for (std::size_t i = 0; i < placed.size(); ++i) {
+    auto& p = placed[i];
+    p.venue = i < 60 ? 0 : static_cast<std::uint32_t>(i % 7 + 1);
+    p.record.type = trace::IcTaskType::kRender;
+    p.record.user_id = static_cast<std::uint32_t>(i);
+    p.record.model_id = i % 6 + 1;
+  }
+  trace::RetimeArrivals(std::span<trace::PlacedRecord>(placed), 200.0);
+  for (const auto& p : placed) pipeline.EnqueuePlaced(p);
+  const auto before = pipeline.MergedMetricsSnapshot();
+  const auto outcomes = pipeline.RunOpenLoop();
+  ASSERT_EQ(outcomes.size(), 200u);
+  const auto after = pipeline.MergedMetricsSnapshot();
+  std::uint64_t peer_hits = 0;
+  for (std::uint32_t v = 0; v < 8; ++v) {
+    peer_hits += pipeline.edge(v).peer_hits();
+  }
+  const std::uint64_t tasks = pipeline.cloud().tasks_executed();
+  const std::uint64_t large = after.value("frame.large_buffers") -
+                              before.value("frame.large_buffers");
+  EXPECT_GT(peer_hits, tasks) << "tasks " << tasks;
+  EXPECT_GT(large, 0u);  // the memo builds are counted
+  EXPECT_LE(large, 2 * tasks);
+  EXPECT_GE(after.value("frame.large_buffer_bytes") -
+                before.value("frame.large_buffer_bytes"),
+            large * FrameCopyStats::kLargeBufferBytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -590,13 +590,17 @@ TEST(GatheredDecodeTest, RejectsStrayHeadBytesAfterThePrefix) {
 }
 
 TEST(GatheredDecodeTest, RejectsScalarAndStringReadsThatReachTheTail) {
-  // Any split before the blob body leaves a scalar or string field (or
-  // the blob prefix itself) straddling into the tail: every one fails.
+  // Any split between the header end and the blob body leaves a scalar
+  // or string field (or the blob prefix itself) straddling into the
+  // tail: every one fails. (A split at the header end itself is the
+  // header-only form, where the tail is the whole payload; see
+  // HeaderOnlyHeadCarriesTheWholePayloadAsTail.)
   const ByteVec frame = EncodeMessage(MessageType::kRecognitionResult, 1,
                                       SampleRecognitionResult());
   const std::size_t blob_split =
       SplitAtBlob(MessageType::kRecognitionResult, frame).head.size();
-  for (std::size_t split = kEnvelopeHeaderSize; split < blob_split; ++split) {
+  for (std::size_t split = kEnvelopeHeaderSize + 1; split < blob_split;
+       ++split) {
     const std::span<const std::uint8_t> all(frame);
     const auto env = DecodeEnvelopeView(all.first(split), all.subspan(split));
     ASSERT_TRUE(env.ok()) << "split " << split;
@@ -605,6 +609,75 @@ TEST(GatheredDecodeTest, RejectsScalarAndStringReadsThatReachTheTail) {
     ASSERT_FALSE(decoded.ok()) << "split " << split;
     EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
   }
+}
+
+TEST(GatheredDecodeTest, HeaderOnlyHeadCarriesTheWholePayloadAsTail) {
+  // A cloud result reply by reference: the bare envelope header, then
+  // the memoized payload. It decodes as a single-span payload that is
+  // the tail itself, field for field equal to the fused decode.
+  const PanoramaResult msg = SamplePanoramaResult();
+  const ByteVec frame = EncodeMessage(MessageType::kPanoramaResult, 41, msg);
+  const std::span<const std::uint8_t> all(frame);
+  const auto head = all.first(kEnvelopeHeaderSize);
+  const auto tail = all.subspan(kEnvelopeHeaderSize);
+  const auto env = DecodeEnvelopeView(head, tail);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  EXPECT_EQ(env.value().type, MessageType::kPanoramaResult);
+  EXPECT_EQ(env.value().request_id, 41u);
+  EXPECT_EQ(env.value().payload.data(), tail.data());
+  EXPECT_EQ(env.value().payload.size(), tail.size());
+  EXPECT_TRUE(env.value().tail.empty());
+  const auto decoded =
+      DecodePayloadAs<PanoramaResult>(env.value(), MessageType::kPanoramaResult);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value(), msg);
+  // Round trip: header + payload re-fuse to the original frame.
+  ByteWriter w;
+  AppendEnvelopeHeader(w, MessageType::kPanoramaResult, 41,
+                       static_cast<std::uint32_t>(EncodePayload(msg).size()));
+  w.WriteRaw(EncodePayload(msg));
+  EXPECT_EQ(w.TakeBytes(), frame);
+
+  // The header's length must still equal the tail's size.
+  for (const int delta : {-1, 1}) {
+    ByteVec bad_head(head.begin(), head.end());
+    SetPayloadLength(bad_head,
+                     static_cast<std::uint32_t>(tail.size() + delta));
+    const auto bad = DecodeEnvelopeView(bad_head, tail);
+    ASSERT_FALSE(bad.ok()) << "delta " << delta;
+    EXPECT_EQ(bad.status().code(), StatusCode::kDataLoss);
+  }
+  EXPECT_FALSE(DecodeEnvelopeView(head, tail.first(tail.size() - 1)).ok());
+}
+
+TEST(GatheredDecodeTest, EncodeGatherHeadPlusBlobEqualsTheFusedEncode) {
+  // A peer-lookup hit by reference: the head ends at the payload blob's
+  // length prefix, the tail is the cached result payload itself.
+  const ByteVec cached = EncodePayload(SampleRenderResult());
+  const PeerLookupReplyView hit{.found = true,
+                                .reply_type = MessageType::kRenderResult,
+                                .payload = cached};
+  const ByteVec head = EncodeGatherHead(MessageType::kPeerLookupReply, 52, hit);
+  EXPECT_EQ(head.size(), kEnvelopeHeaderSize + 1 + 1 + 4);
+  ByteVec fused = head;
+  fused.insert(fused.end(), cached.begin(), cached.end());
+  EXPECT_EQ(fused, EncodeMessage(MessageType::kPeerLookupReply, 52, hit));
+
+  const auto env = DecodeEnvelopeView(head, cached);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  const auto view = DecodePayloadAs<PeerLookupReplyView>(
+      env.value(), MessageType::kPeerLookupReply);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_TRUE(view.value().found);
+  EXPECT_EQ(view.value().payload.data(), cached.data());  // read in place
+  EXPECT_EQ(view.value().payload.size(), cached.size());
+
+  // Every result type splits where ResultBlobOffset says.
+  const RecognitionResult recognition = SampleRecognitionResult();
+  const ByteVec frame =
+      EncodeMessage(MessageType::kRecognitionResult, 53, recognition);
+  EXPECT_EQ(EncodeGatherHead(MessageType::kRecognitionResult, 53, recognition),
+            SplitAtBlob(MessageType::kRecognitionResult, frame).head);
 }
 
 TEST(GatheredDecodeTest, RejectsAHeaderLengthThatDiffersFromHeadPlusTail) {
@@ -873,7 +946,9 @@ TEST(EnvelopeTest, RejectsNonzeroFlags) {
 
 TEST(EnvelopeTest, RejectsTruncatedPayload) {
   ByteVec frame = EncodeEnvelope(MessageType::kPing, 1, DeterministicBytes(50, 1));
-  frame.resize(frame.size() - 10);
+  // Erase, not resize: GCC 12's -Wstringop-overflow (under ASan) reads
+  // resize's never-taken growth path as a huge memset.
+  frame.erase(frame.end() - 10, frame.end());
   EXPECT_FALSE(DecodeEnvelope(frame).ok());
 }
 

@@ -439,6 +439,200 @@ TEST(FrameFabricTest, CloudRecognitionReplyByteIdenticalToStructEncode) {
                                       decoded.value()));
 }
 
+TEST(CloudServiceTest, RenderAndPanoramaPayloadsMatchTheOwningEncode) {
+  // The render memo encodes straight from the registry's bytes through
+  // the view, and the panorama memo writes its fields, raster and
+  // padding into one buffer: both byte-identical to the owning-struct
+  // encodes they replaced.
+  FakeWire wire;
+  auto cloud = MakeCloud(wire);
+  cloud.RegisterModel(4, KB(80));
+  proto::RenderRequest render;
+  render.model_id = 4;
+  render.descriptor = proto::FeatureDescriptor::ForHash(
+      proto::TaskKind::kRender, cloud.model_registry().DigestFor(4).value());
+  cloud.OnFrame(proto::EncodeMessage(MessageType::kRenderRequest, 5, render));
+  proto::RenderResult want_render;
+  want_render.model_id = 4;
+  want_render.source = proto::ResultSource::kCloud;
+  const auto model = cloud.model_registry().BytesFor(4).value();
+  want_render.model_bytes.assign(model.begin(), model.end());
+  ASSERT_EQ(wire.to_client.size(), 1u);
+  EXPECT_EQ(wire.to_client.front().CloneBytes(),
+            proto::EncodeMessage(MessageType::kRenderResult, 5, want_render));
+  wire.to_client.clear();
+
+  proto::PanoramaRequest pano_req;
+  pano_req.video_id = 3;
+  pano_req.frame_index = 1;
+  pano_req.descriptor = proto::FeatureDescriptor::ForHash(
+      proto::TaskKind::kPanorama, Digest128{6, 6});
+  cloud.OnFrame(
+      proto::EncodeMessage(MessageType::kPanoramaRequest, 8, pano_req));
+  const auto pano = render::Panorama::Generate(3, 1);
+  proto::PanoramaResult want_pano;
+  want_pano.video_id = 3;
+  want_pano.frame_index = 1;
+  want_pano.source = proto::ResultSource::kCloud;
+  want_pano.width = pano.width();
+  want_pano.height = pano.height();
+  want_pano.frame = pano.Encode();
+  const ByteVec pad = DeterministicBytes(
+      CostModel{}.panorama.frame_bytes - want_pano.frame.size(), 3 * 31 + 1);
+  want_pano.frame.insert(want_pano.frame.end(), pad.begin(), pad.end());
+  ASSERT_EQ(wire.to_client.size(), 1u);
+  EXPECT_EQ(wire.to_client.front().CloneBytes(),
+            proto::EncodeMessage(MessageType::kPanoramaResult, 8, want_pano));
+}
+
+TEST(FrameFabricTest, GatheredCloudReplySharesTheMemoWithTheEdgeCache) {
+  // A cloud with gather_send answers renders as a bare header plus the
+  // memoized payload; the edge caches that very buffer and relays the
+  // pair. Wire bytes equal the fused cloud's reply.
+  FakeWire plain_wire;
+  auto plain = MakeCloud(plain_wire);
+  FakeWire cloud_wire;
+  std::vector<std::pair<Frame, Frame>> cloud_gathers;
+  CloudService::Config cloud_config;
+  cloud_config.recognition_classes = 5;
+  cloud_config.gather_send = [&cloud_gathers](Peer to, Frame head,
+                                              Frame tail) {
+    EXPECT_EQ(to, Peer::kClient);
+    cloud_gathers.emplace_back(std::move(head), std::move(tail));
+  };
+  CloudService cloud(cloud_config, cloud_wire.MakeSendFn(), ImmediateDelay());
+  proto::RenderRequest render;
+  render.model_id = 4;
+  for (CloudService* c : {&plain, &cloud}) {
+    c->RegisterModel(4, KB(80));
+    render.descriptor = proto::FeatureDescriptor::ForHash(
+        proto::TaskKind::kRender, c->model_registry().DigestFor(4).value());
+    c->OnFrame(proto::EncodeMessage(MessageType::kRenderRequest, 5, render));
+  }
+  cloud.OnFrame(proto::EncodeMessage(MessageType::kRenderRequest, 6, render));
+  EXPECT_TRUE(cloud_wire.to_client.empty());
+  ASSERT_EQ(cloud_gathers.size(), 2u);
+  const auto& [head, tail] = cloud_gathers[0];
+  EXPECT_EQ(head.size(), proto::kEnvelopeHeaderSize);
+  ByteVec fused = head.CloneBytes();
+  const ByteVec tail_bytes = tail.CloneBytes();
+  fused.insert(fused.end(), tail_bytes.begin(), tail_bytes.end());
+  ASSERT_EQ(plain_wire.to_client.size(), 1u);
+  EXPECT_EQ(fused, plain_wire.to_client.front().CloneBytes());
+  // Every reply for the model shares the one memo buffer.
+  EXPECT_TRUE(cloud_gathers[1].second.SharesBufferWith(tail));
+
+  FakeWire edge_wire;
+  std::vector<std::pair<Frame, Frame>> edge_gathers;
+  EdgeService::Config edge_config;
+  edge_config.gather_send = [&edge_gathers](Peer to, Frame h, Frame t) {
+    EXPECT_EQ(to, Peer::kClient);
+    edge_gathers.emplace_back(std::move(h), std::move(t));
+  };
+  EdgeService edge(edge_config, edge_wire.MakeSendFn(), ImmediateDelay(),
+                   FixedNow());
+  edge.OnClientFrame(
+      proto::EncodeMessage(MessageType::kRenderRequest, 5, render));
+  ASSERT_EQ(edge_wire.to_cloud.size(), 1u);
+  const std::uint64_t copies_before = frame_stats().copies();
+  const std::uint64_t large_before = frame_stats().large_buffers();
+  edge.OnCloudFrame(head, tail);
+  EXPECT_EQ(frame_stats().copies(), copies_before);
+  EXPECT_EQ(frame_stats().large_buffers(), large_before);
+  EXPECT_TRUE(edge_wire.to_client.empty());
+  ASSERT_EQ(edge_gathers.size(), 1u);
+  EXPECT_TRUE(edge_gathers[0].first.SharesBufferWith(head));
+  EXPECT_TRUE(edge_gathers[0].second.SharesBufferWith(tail));
+  const auto cached =
+      edge.mutable_cache().Lookup(render.descriptor, SimTime::Epoch());
+  ASSERT_TRUE(cached.hit);
+  EXPECT_EQ(cached.payload.span().data(), tail.span().data());
+  EXPECT_EQ(cached.payload.size(), tail.size());
+}
+
+TEST(FrameFabricTest, GatheredPeerHitSharesTheServingCacheBuffer) {
+  // Serving edge: a hit for a federation peer leaves as a gathered pair
+  // whose tail is the cached payload itself.
+  const auto key = proto::FeatureDescriptor::ForHash(proto::TaskKind::kRender,
+                                                     Digest128{3, 4});
+  proto::RenderResult result;
+  result.model_id = 1;
+  result.model_bytes = DeterministicBytes(KB(70), 2);
+  const ByteVec cached_payload = proto::EncodePayload(result);
+
+  FakeWire serving_wire;
+  std::vector<std::pair<Frame, Frame>> gathers;
+  EdgeService::Config serving_config;
+  serving_config.cooperative = true;
+  serving_config.peer_send = [](std::uint32_t, Frame) {
+    ADD_FAILURE() << "a peer hit was sent fused";
+  };
+  serving_config.peer_gather_send = [&gathers](std::uint32_t peer, Frame head,
+                                               Frame tail) {
+    EXPECT_EQ(peer, 3u);
+    gathers.emplace_back(std::move(head), std::move(tail));
+  };
+  EdgeService serving(serving_config, serving_wire.MakeSendFn(),
+                      ImmediateDelay(), FixedNow());
+  serving.mutable_cache().Insert(key, ByteVec(cached_payload),
+                                 SimTime::Epoch());
+  proto::PeerLookupRequest query;
+  query.descriptor = key;
+  query.reply_type = MessageType::kRenderResult;
+  serving.OnPeerFrame(
+      /*from_peer=*/3,
+      proto::EncodeMessage(MessageType::kPeerLookupRequest, 11, query));
+  ASSERT_EQ(gathers.size(), 1u);
+  const auto served = serving.mutable_cache().Lookup(key, SimTime::Epoch());
+  ASSERT_TRUE(served.hit);
+  EXPECT_EQ(gathers[0].second.span().data(), served.payload.span().data());
+  ByteVec fused = gathers[0].first.CloneBytes();
+  fused.insert(fused.end(), cached_payload.begin(), cached_payload.end());
+  proto::PeerLookupReply expected;
+  expected.found = true;
+  expected.reply_type = MessageType::kRenderResult;
+  expected.payload = cached_payload;
+  EXPECT_EQ(fused,
+            proto::EncodeMessage(MessageType::kPeerLookupReply, 11, expected));
+
+  // Probing edge: its miss probes peer 3 and adopts the gathered hit's
+  // tail, so both caches hold one buffer.
+  FakeWire probe_wire;
+  std::vector<Frame> probes;
+  EdgeService::Config probe_config;
+  probe_config.cooperative = true;
+  probe_config.peer_send = [&probes](std::uint32_t peer, Frame frame) {
+    EXPECT_EQ(peer, 3u);
+    probes.push_back(std::move(frame));
+  };
+  probe_config.peer_select = [](const proto::FeatureDescriptor&) {
+    return std::vector<std::uint32_t>{3};
+  };
+  EdgeService prober(probe_config, probe_wire.MakeSendFn(), ImmediateDelay(),
+                     FixedNow());
+  proto::RenderRequest request;
+  request.model_id = 1;
+  request.descriptor = key;
+  prober.OnClientFrame(
+      proto::EncodeMessage(MessageType::kRenderRequest, 11, request));
+  ASSERT_EQ(probes.size(), 1u);
+  const std::uint64_t large_before = frame_stats().large_buffers();
+  prober.OnPeerFrame(/*from_peer=*/3, gathers[0].first, gathers[0].second);
+  EXPECT_EQ(prober.peer_hits(), 1u);
+  const auto adopted = prober.mutable_cache().Lookup(key, SimTime::Epoch());
+  ASSERT_TRUE(adopted.hit);
+  EXPECT_EQ(adopted.payload.span().data(), served.payload.span().data());
+  // The client reply (fused here: no gather_send) is the only large
+  // buffer the adoption made.
+  EXPECT_EQ(frame_stats().large_buffers(), large_before + 1);
+  const auto reply = FakeWire::Decode(probe_wire.to_client);
+  auto decoded = proto::DecodePayloadAs<proto::RenderResult>(
+      reply, MessageType::kRenderResult);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().source, proto::ResultSource::kPeerEdge);
+  EXPECT_EQ(decoded.value().model_bytes, result.model_bytes);
+}
+
 // ---------------------------------------------------------------------------
 // Same-key request coalescing
 // ---------------------------------------------------------------------------
