@@ -327,18 +327,13 @@ void EdgeService::SendPeerReply(std::optional<std::uint32_t> peer,
           EncodeFrame(MessageType::kPeerLookupReply, request_id, reply));
     return;
   }
-  if (found && !payload.empty() && config_.peer_gather_send) {
-    // A hit's body goes by reference: the prober adopts this very buffer
-    // into its cache, so both venues hold one copy of the result.
-    config_.peer_gather_send(
-        *peer,
-        Frame(proto::EncodeGatherHead(MessageType::kPeerLookupReply,
-                                      request_id, reply)),
-        payload);
-    return;
-  }
+  // A hit's body goes by reference: the prober adopts this very buffer
+  // into its cache, so both venues hold one copy of the result. A miss
+  // has no body, so its head is the whole frame.
   config_.peer_send(
-      *peer, EncodeFrame(MessageType::kPeerLookupReply, request_id, reply));
+      *peer,
+      EncodeGatherHeadFrame(MessageType::kPeerLookupReply, request_id, reply),
+      found ? payload : Frame());
 }
 
 void EdgeService::NoteKeyUse(std::uint64_t coalesce_key) {
@@ -814,7 +809,7 @@ void EdgeService::OnLocalMiss(Frame frame,
       for (const std::uint32_t peer : candidates) {
         ++peer_probes_sent_;
         if (config_.peer_send) {
-          config_.peer_send(peer, probe);
+          config_.peer_send(peer, probe, Frame());
         } else {
           send_(Peer::kPeerEdge, probe);
         }

@@ -153,18 +153,18 @@ class CloudService {
 /// baseline shares the topology but never consults the cache.
 class EdgeService {
  public:
-  /// Federation hooks. `PeerSendFn` delivers an encoded frame to the
-  /// peer edge with the given cluster index; `PeerSelectFn` returns the
-  /// ordered probe candidates for a descriptor (best first). When both
-  /// are installed the edge runs in N-edge federation mode; otherwise a
-  /// single anonymous peer is assumed (the original pairwise protocol).
-  using PeerSendFn = std::function<void(std::uint32_t peer, Frame frame)>;
-  /// Scatter-gather form of PeerSendFn for peer-lookup hit replies:
-  /// `head` is proto::EncodeGatherHead's envelope header, found flag,
-  /// reply type and payload length prefix; `tail` is the cached payload
-  /// itself, shared by reference. The receiver hands both segments to
-  /// OnPeerFrame(peer, head, tail).
-  using PeerGatherSendFn =
+  /// Federation hooks. `PeerSendFn` delivers a frame to the peer edge
+  /// with the given cluster index: `head` alone when `tail` is empty (a
+  /// plain frame), else the two as one gathered wire frame. Only a
+  /// peer-lookup hit has a tail: `head` is proto::EncodeGatherHead's
+  /// envelope header, found flag, reply type and payload length prefix,
+  /// and `tail` is the cached payload itself, shared by reference. The
+  /// receiver hands a pair to OnPeerFrame(peer, head, tail).
+  /// `PeerSelectFn` returns the ordered probe candidates for a
+  /// descriptor (best first). When both are installed the edge runs in
+  /// N-edge federation mode; otherwise a single anonymous peer is
+  /// assumed (the original pairwise protocol).
+  using PeerSendFn =
       std::function<void(std::uint32_t peer, Frame head, Frame tail)>;
   using PeerSelectFn =
       std::function<std::vector<std::uint32_t>(const proto::FeatureDescriptor&)>;
@@ -179,9 +179,6 @@ class EdgeService {
     bool cooperative = false;
     PeerSendFn peer_send;      ///< Null => pairwise mode.
     PeerSelectFn peer_select;  ///< Null => pairwise mode.
-    /// Gathered peer-hit replies (federation mode only). Null => hits
-    /// are encoded into one buffer and sent through peer_send.
-    PeerGatherSendFn peer_gather_send;
     /// Per-request cap on peer probes in federation mode; candidates
     /// beyond the budget are dropped (policy order is preserved).
     std::uint32_t probe_budget = 1;
@@ -279,7 +276,7 @@ class EdgeService {
   /// cluster index so replies can be routed back.
   void OnPeerFrame(Frame frame);
   void OnPeerFrame(std::uint32_t from_peer, Frame frame);
-  /// A gathered peer frame (peer_gather_send's head and tail).
+  /// A gathered peer frame (a peer_send head and non-empty tail).
   void OnPeerFrame(std::uint32_t from_peer, Frame head, Frame tail);
 
   [[nodiscard]] const cache::IcCache& cache() const noexcept { return cache_; }
@@ -460,9 +457,9 @@ class EdgeService {
                                std::optional<std::uint32_t> from_peer);
   void HandlePeerLookupReply(const Frame& head, const Frame& tail,
                              const proto::EnvelopeView& env);
-  /// Answers a peer lookup: through peer_send to `peer` (gathered, the
-  /// cached payload by reference, for a hit when peer_gather_send is
-  /// set), or through SendFn(Peer::kPeerEdge) in pairwise mode.
+  /// Answers a peer lookup: through peer_send to `peer` (a hit gathered,
+  /// the cached payload by reference), or fused through
+  /// SendFn(Peer::kPeerEdge) in pairwise mode.
   void SendPeerReply(std::optional<std::uint32_t> peer,
                      std::uint64_t request_id, proto::MessageType reply_type,
                      bool found, const Frame& payload);
@@ -504,6 +501,19 @@ class EdgeService {
     return arena->Seal(proto::EncodeMessageInto(
         arena->Acquire(proto::kEnvelopeHeaderSize + proto::WireSize(msg)),
         type, request_id, msg));
+  }
+  /// proto::EncodeGatherHead of `msg` (the frame up to its final blob's
+  /// length prefix), through the arena like EncodeFrame.
+  template <typename Message>
+  [[nodiscard]] Frame EncodeGatherHeadFrame(proto::MessageType type,
+                                            std::uint64_t request_id,
+                                            const Message& msg) {
+    FrameArena* arena = config_.frame_arena;
+    if (arena == nullptr) {
+      return Frame(proto::EncodeGatherHead(type, request_id, msg));
+    }
+    return arena->Seal(proto::EncodeGatherHeadInto(arena->Acquire(0), type,
+                                                   request_id, msg));
   }
   /// Records a local request for `coalesce_key` (bounded map; counts
   /// feed the peer-hit adoption filter). No-op unless the filter is on.

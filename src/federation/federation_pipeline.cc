@@ -540,15 +540,11 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
     // first copy was lost instead of re-fetching.
     edge_config.resolved_memo_capacity = 256;
   }
-  edge_config.peer_send = [this, venue](std::uint32_t peer, Frame frame) {
+  edge_config.peer_send = [this, venue](std::uint32_t peer, Frame head,
+                                        Frame tail) {
     // Gossip ack/nack rides on lookup traffic: before any peer-bound
     // probe or reply, tell that peer which version of its summary we
     // hold (deduplicated, so steady state adds no frames).
-    MaybeSendSummaryAck(venue, peer, /*force=*/false);
-    SendEdgeToEdge(venue, peer, std::move(frame));
-  };
-  edge_config.peer_gather_send = [this, venue](std::uint32_t peer, Frame head,
-                                               Frame tail) {
     MaybeSendSummaryAck(venue, peer, /*force=*/false);
     SendEdgeToEdge(venue, peer, std::move(head), std::move(tail));
   };
@@ -607,7 +603,7 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
                                 core::Peer to, Frame head, Frame tail) {
     COIC_CHECK_MSG(to == core::Peer::kClient,
                    "edge gather_send serves clients only (peer hits gather "
-                   "through peer_gather_send)");
+                   "through peer_send)");
     if (const auto target = take_client_route(head)) {
       NetOf(venue).SendGather(self, *target, std::move(head), std::move(tail));
     }
@@ -738,6 +734,10 @@ void FederationPipeline::SendEdgeToEdge(std::uint32_t from, std::uint32_t to,
 
 void FederationPipeline::SendEdgeToEdge(std::uint32_t from, std::uint32_t to,
                                         Frame head, Frame tail) {
+  if (tail.empty()) {
+    SendEdgeToEdge(from, to, std::move(head));
+    return;
+  }
   if (topology_.Adjacent(from, to)) {
     NetOf(from).SendGather(edge_nodes_[from], edge_nodes_[to], std::move(head),
                            std::move(tail));

@@ -638,8 +638,9 @@ class FederationPipeline {
   /// wrapped in a FederatedRelay along the shortest path. Broadcast
   /// callers pass the same refcounted Frame for every destination.
   void SendEdgeToEdge(std::uint32_t from, std::uint32_t to, Frame frame);
-  /// Gathered form: adjacent venues get the pair unfused (the receiver's
-  /// gather handler); a relayed pair is fused into one frame first.
+  /// Gathered form: an empty `tail` sends `head` as a plain frame;
+  /// otherwise adjacent venues get the pair unfused (the receiver's
+  /// gather handler) and a relayed pair is fused into one frame first.
   void SendEdgeToEdge(std::uint32_t from, std::uint32_t to, Frame head,
                       Frame tail);
   void OnPeerEdgeFrame(std::uint32_t venue, std::uint32_t src_index,

@@ -101,17 +101,20 @@ ByteVec EncodeMessage(MessageType type, std::uint64_t request_id,
 /// blob field: the envelope header (its payload length counts the tail)
 /// and every field of `msg` up to and including that blob's u32 length
 /// prefix. Head followed by the blob body is byte-identical to
-/// EncodeMessage(type, request_id, msg).
+/// EncodeMessage(type, request_id, msg). `storage`'s capacity is reused
+/// as in EncodeMessageInto.
 template <Described Message>
-ByteVec EncodeGatherHead(MessageType type, std::uint64_t request_id,
-                         const Message& msg) {
+ByteVec EncodeGatherHeadInto(ByteVec&& storage, MessageType type,
+                             std::uint64_t request_id, const Message& msg) {
   const Bytes size = WireSize(msg);
   COIC_CHECK_MSG(size <= kMaxPayloadBytes, "payload too large");
   return Schema<Message>::Fields(msg, [&](const auto&... fields) {
     const auto all = std::forward_as_tuple(fields...);
     constexpr std::size_t kLast = sizeof...(fields) - 1;
     const std::span<const std::uint8_t> blob = std::get<kLast>(all);
-    ByteWriter w(kEnvelopeHeaderSize + size - blob.size());
+    storage.clear();
+    storage.reserve(kEnvelopeHeaderSize + size - blob.size());
+    ByteWriter w(std::move(storage));
     AppendEnvelopeHeader(w, type, request_id, static_cast<std::uint32_t>(size));
     [&]<std::size_t... I>(std::index_sequence<I...>) {
       (codec::WriteField(w, std::get<I>(all)), ...);
@@ -119,6 +122,13 @@ ByteVec EncodeGatherHead(MessageType type, std::uint64_t request_id,
     w.WriteU32(static_cast<std::uint32_t>(blob.size()));
     return w.TakeBytes();
   });
+}
+
+/// EncodeGatherHeadInto fresh storage.
+template <Described Message>
+ByteVec EncodeGatherHead(MessageType type, std::uint64_t request_id,
+                         const Message& msg) {
+  return EncodeGatherHeadInto(ByteVec(), type, request_id, msg);
 }
 
 /// Parses a full envelope from `data` without copying the payload (see

@@ -42,6 +42,14 @@ struct FakeWire {
   }
 };
 
+/// The one wire frame a gathered pair stands for (`tail` may be empty).
+Frame Fused(const Frame& head, const Frame& tail) {
+  ByteVec bytes = head.CloneBytes();
+  const ByteVec tail_bytes = tail.CloneBytes();
+  bytes.insert(bytes.end(), tail_bytes.begin(), tail_bytes.end());
+  return Frame(std::move(bytes));
+}
+
 DelayFn ImmediateDelay() {
   return [](Duration, std::function<void()> fn) { fn(); };
 }
@@ -550,6 +558,61 @@ TEST(FrameFabricTest, GatheredCloudReplySharesTheMemoWithTheEdgeCache) {
   EXPECT_EQ(cached.payload.size(), tail.size());
 }
 
+TEST(FrameFabricTest, GatheredOriginCloudReplyReplaysAsTheFusedReply) {
+  // Origin mode never caches, but a retransmit of a resolved request is
+  // answered from the idempotent-replay memo. A gathered cloud reply is
+  // memoized as its payload and replayed as a cloud result: both the
+  // relay and the replay carry the fused cloud reply's bytes.
+  FakeWire plain_wire;
+  auto plain = MakeCloud(plain_wire);
+  FakeWire cloud_wire;
+  std::vector<std::pair<Frame, Frame>> cloud_gathers;
+  CloudService::Config cloud_config;
+  cloud_config.recognition_classes = 5;
+  cloud_config.gather_send = [&cloud_gathers](Peer, Frame head, Frame tail) {
+    cloud_gathers.emplace_back(std::move(head), std::move(tail));
+  };
+  CloudService cloud(cloud_config, cloud_wire.MakeSendFn(), ImmediateDelay());
+  proto::RenderRequest render;
+  render.model_id = 4;
+  render.mode = OffloadMode::kOrigin;
+  for (CloudService* c : {&plain, &cloud}) {
+    c->RegisterModel(4, KB(80));
+    render.descriptor = proto::FeatureDescriptor::ForHash(
+        proto::TaskKind::kRender, c->model_registry().DigestFor(4).value());
+    c->OnFrame(proto::EncodeMessage(MessageType::kRenderRequest, 5, render));
+  }
+  ASSERT_EQ(cloud_gathers.size(), 1u);
+  ASSERT_EQ(plain_wire.to_client.size(), 1u);
+  const ByteVec want = plain_wire.to_client.front().CloneBytes();
+
+  FakeWire edge_wire;
+  std::vector<Frame> to_client;
+  EdgeService::Config edge_config;
+  edge_config.resolved_memo_capacity = 4;
+  edge_config.gather_send = [&to_client](Peer to, Frame head, Frame tail) {
+    EXPECT_EQ(to, Peer::kClient);
+    to_client.push_back(Fused(head, tail));
+  };
+  EdgeService edge(edge_config, edge_wire.MakeSendFn(), ImmediateDelay(),
+                   FixedNow());
+  const ByteVec request =
+      proto::EncodeMessage(MessageType::kRenderRequest, 5, render);
+  edge.OnClientFrame(ByteVec(request));
+  ASSERT_EQ(edge_wire.to_cloud.size(), 1u);
+  edge.OnCloudFrame(cloud_gathers[0].first, cloud_gathers[0].second);
+  EXPECT_EQ(edge.cache().stats().insertions, 0u);
+
+  // The first reply was lost on the way down; the retransmit replays.
+  edge.OnClientFrame(ByteVec(request));
+  EXPECT_EQ(edge.replayed_from_memo(), 1u);
+  EXPECT_EQ(edge.forwards(), 1u);
+  EXPECT_TRUE(edge_wire.to_client.empty());
+  ASSERT_EQ(to_client.size(), 2u);
+  EXPECT_EQ(to_client[0].CloneBytes(), want);
+  EXPECT_EQ(to_client[1].CloneBytes(), want);
+}
+
 TEST(FrameFabricTest, GatheredPeerHitSharesTheServingCacheBuffer) {
   // Serving edge: a hit for a federation peer leaves as a gathered pair
   // whose tail is the cached payload itself.
@@ -564,11 +627,8 @@ TEST(FrameFabricTest, GatheredPeerHitSharesTheServingCacheBuffer) {
   std::vector<std::pair<Frame, Frame>> gathers;
   EdgeService::Config serving_config;
   serving_config.cooperative = true;
-  serving_config.peer_send = [](std::uint32_t, Frame) {
-    ADD_FAILURE() << "a peer hit was sent fused";
-  };
-  serving_config.peer_gather_send = [&gathers](std::uint32_t peer, Frame head,
-                                               Frame tail) {
+  serving_config.peer_send = [&gathers](std::uint32_t peer, Frame head,
+                                        Frame tail) {
     EXPECT_EQ(peer, 3u);
     gathers.emplace_back(std::move(head), std::move(tail));
   };
@@ -594,6 +654,18 @@ TEST(FrameFabricTest, GatheredPeerHitSharesTheServingCacheBuffer) {
   expected.payload = cached_payload;
   EXPECT_EQ(fused,
             proto::EncodeMessage(MessageType::kPeerLookupReply, 11, expected));
+  // A miss has no body: its head is the whole frame and the tail is empty.
+  query.descriptor = proto::FeatureDescriptor::ForHash(
+      proto::TaskKind::kRender, Digest128{5, 6});
+  serving.OnPeerFrame(
+      /*from_peer=*/3,
+      proto::EncodeMessage(MessageType::kPeerLookupRequest, 12, query));
+  ASSERT_EQ(gathers.size(), 2u);
+  EXPECT_TRUE(gathers[1].second.empty());
+  proto::PeerLookupReply miss;
+  miss.reply_type = MessageType::kRenderResult;
+  EXPECT_EQ(gathers[1].first.CloneBytes(),
+            proto::EncodeMessage(MessageType::kPeerLookupReply, 12, miss));
 
   // Probing edge: its miss probes peer 3 and adopts the gathered hit's
   // tail, so both caches hold one buffer.
@@ -601,8 +673,10 @@ TEST(FrameFabricTest, GatheredPeerHitSharesTheServingCacheBuffer) {
   std::vector<Frame> probes;
   EdgeService::Config probe_config;
   probe_config.cooperative = true;
-  probe_config.peer_send = [&probes](std::uint32_t peer, Frame frame) {
+  probe_config.peer_send = [&probes](std::uint32_t peer, Frame frame,
+                                     Frame tail) {
     EXPECT_EQ(peer, 3u);
+    EXPECT_TRUE(tail.empty());  // a probe is a plain frame
     probes.push_back(std::move(frame));
   };
   probe_config.peer_select = [](const proto::FeatureDescriptor&) {
@@ -1157,8 +1231,8 @@ TEST(ProbeParkingTest, PeerProbeParksOnInflightFetchAndSharesItsResult) {
   std::vector<std::pair<std::uint32_t, Frame>> peer_out;
   EdgeService::Config config;
   config.park_peer_probes = true;
-  config.peer_send = [&peer_out](std::uint32_t peer, Frame frame) {
-    peer_out.emplace_back(peer, std::move(frame));
+  config.peer_send = [&peer_out](std::uint32_t peer, Frame head, Frame tail) {
+    peer_out.emplace_back(peer, Fused(head, tail));
   };
   auto edge = EdgeService(config, wire.MakeSendFn(), ImmediateDelay(),
                           FixedNow());
@@ -1210,8 +1284,8 @@ TEST(ProbeParkingTest, ParkedProbeGetsNotFoundWhenTheLeaderFails) {
   std::vector<std::pair<std::uint32_t, Frame>> peer_out;
   EdgeService::Config config;
   config.park_peer_probes = true;
-  config.peer_send = [&peer_out](std::uint32_t peer, Frame frame) {
-    peer_out.emplace_back(peer, std::move(frame));
+  config.peer_send = [&peer_out](std::uint32_t peer, Frame head, Frame tail) {
+    peer_out.emplace_back(peer, Fused(head, tail));
   };
   auto edge = EdgeService(config, wire.MakeSendFn(), ImmediateDelay(),
                           FixedNow());
@@ -1248,8 +1322,8 @@ TEST(ProbeParkingTest, DisabledConfigRepliesMissImmediately) {
   FakeWire wire;
   std::vector<std::pair<std::uint32_t, Frame>> peer_out;
   EdgeService::Config config;  // park_peer_probes defaults to false
-  config.peer_send = [&peer_out](std::uint32_t peer, Frame frame) {
-    peer_out.emplace_back(peer, std::move(frame));
+  config.peer_send = [&peer_out](std::uint32_t peer, Frame head, Frame tail) {
+    peer_out.emplace_back(peer, Fused(head, tail));
   };
   auto edge = EdgeService(config, wire.MakeSendFn(), ImmediateDelay(),
                           FixedNow());
